@@ -26,8 +26,9 @@ for r, z, k in [(1, 1, 3), (2, 2, 4), (0, 3, 5)]:
     approx = moore_bound_closed_form(DegreePair(r, z), k)
     print(f"M({r},{z},{k}): exact {exact}, closed form {approx:.6f}")
 
-# For diameter k >= 3 the bound improves to M - r, and when r, z are odd
-# and k = 2 (mod 3) a parity argument removes one more vertex.
+# For diameter k >= 3 the bound of a true mixed graph (r, z >= 1) improves
+# to M - r, and when r is odd an odd bound drops by one more vertex, since
+# odd r forces an even order.
 for k in (2, 3, 5):
     rep = improved_bound(dp, k)
     print(f"k={k}: M={rep.moore}, best bound {rep.improved}, rules {list(rep.rule_trace)}")

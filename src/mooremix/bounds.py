@@ -187,15 +187,19 @@ def improved_bound(dp: DegreePair, k: int) -> BoundReport:
     """Best upper bound on the order of an (r, z)-regular mixed graph of
     diameter k.
 
-    For k >= 3 the Moore bound drops by r; if additionally r and z are both
-    odd and k = 2 (mod 3), a parity argument removes one more vertex.
+    For k >= 3 and a true mixed graph (r >= 1 and z >= 1) the Moore bound
+    drops by r ("thm1").  For k >= 3 and odd r, the handshake lemma forces an
+    even order, so an odd bound drops by one more ("prop2").
     """
     m = moore_bound(dp, k)
     if k < 3:
         return BoundReport(moore=m, improved=m, parity_applied=False)
-    rules = ["thm1"]
-    improved = m - dp.r
-    parity = dp.r % 2 == 1 and dp.z % 2 == 1 and k % 3 == 2
+    rules = []
+    improved = m
+    if dp.r >= 1 and dp.z >= 1:
+        rules.append("thm1")
+        improved -= dp.r
+    parity = dp.r % 2 == 1 and improved % 2 == 1
     if parity:
         rules.append("prop2")
         improved -= 1

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: bound, table, search, verify, spectrum, iso, converse,
-construct.  Exit codes: 0 success, 1 negative iso answer, 2 bad flags,
-3 degenerate closed-form parameters, 4 search cap exceeded, 5 bad MGF file.
+construct.  Exit codes: 0 success, 1 negative iso answer, 2 bad flags or
+values, 3 degenerate closed-form parameters, 4 search cap exceeded, 5 bad
+or unreadable MGF file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bounds import (
     moore_bound_closed_form,
     moore_table,
 )
-from .errors import CapExceededError, DegenerateParametersError, MgfFormatError
+from .errors import CapExceededError, DegenerateParametersError, MgfFormatError, MooremixError
 from .graph import is_isomorphic
 from .search import DiameterMode, SearchSpec, SearchResult, enumerate_classes, order_cap
 
@@ -31,11 +32,7 @@ def _cmd_bound(args) -> int:
     out = {"M": m}
     parts = [f"M={m}"]
     if args.closed_form:
-        try:
-            cf = moore_bound_closed_form(dp, args.k)
-        except DegenerateParametersError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        cf = moore_bound_closed_form(dp, args.k)
         out["closed_form"] = cf
         parts.append(f"closed_form={cf!r}")
     if args.improved:
@@ -69,14 +66,8 @@ def _cmd_table(args) -> int:
 def _cmd_search(args) -> int:
     dp = DegreePair(args.r, args.z)
     mode = DiameterMode.AT_MOST if args.mode == "at-most" else DiameterMode.EXACT
-    spec = SearchSpec(
-        dp=dp, k=args.k, n=args.n, diameter_mode=mode, count_only=args.count_only, jobs=args.jobs
-    )
-    try:
-        res = enumerate_classes(spec, cap=order_cap())
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode, jobs=args.jobs)
+    res = enumerate_classes(spec, cap=order_cap())
     print(f"classes={len(res.classes)}")
     if res.infeasible_reason:
         print(f"infeasible: {res.infeasible_reason}")
@@ -98,11 +89,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        g = mgf.load(args.file)
-    except (OSError, MgfFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    g = _load(args.file)
     dp = g.total_regularity()
     diam = g.diameter()
     diam_s = "unreachable" if diam is None else str(diam)
@@ -117,12 +104,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _load(path) -> "object":
+def _load(path):
     try:
         return mgf.load(path)
-    except (OSError, MgfFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(5)
+    except OSError as exc:
+        raise MgfFormatError(str(exc)) from exc
 
 
 def _cmd_spectrum(args) -> int:
@@ -216,9 +202,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# exit code per error type (see the module docstring); any other
+# MooremixError or ValueError means a bad argument value: exit 2
+_EXIT_CODES = {DegenerateParametersError: 3, CapExceededError: 4, MgfFormatError: 5}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MooremixError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DigonConflictError,
     DuplicateError,
@@ -96,8 +94,6 @@ class MixedGraph:
                 edge_set.add((u, v))
         for u, v in arc_set:
             if (min(u, v), max(u, v)) in edge_set:
-                if strict:
-                    raise ParallelArcEdgeError(f"arc ({u}, {v}) parallel to an edge")
                 raise ParallelArcEdgeError(f"arc ({u}, {v}) parallel to an edge")
         return MixedGraph(n=n, edges=tuple(sorted(edge_set)), arcs=tuple(sorted(arc_set)))
 
@@ -128,16 +124,6 @@ class MixedGraph:
     def successors(self, u: int) -> tuple[int, ...]:
         """Vertices reachable from u in one step (edges + outgoing arcs)."""
         return self.edge_neighbors[u] + self.out_neighbors[u]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """0/1 matrix of the graph seen as a digraph (edges become digons)."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        for u, v in self.arcs:
-            a[u, v] = 1
-        return a
 
     # -- degrees ----------------------------------------------------------
 
@@ -183,15 +169,17 @@ class MixedGraph:
     def distances(self) -> list[list]:
         return [self.distances_from(u) for u in range(self.n)]
 
-    def diameter(self):
-        """Max distance over ordered pairs; UNREACHABLE if disconnected."""
+    def diameter(self, limit: int | None = None):
+        """Max distance over ordered pairs; UNREACHABLE if disconnected or,
+        given `limit`, as soon as some distance exceeds it."""
+        bound = self.n if limit is None else limit
         diam = 0
         for u in range(self.n):
-            row = self.distances_from(u)
-            for d in row:
-                if d is UNREACHABLE:
+            for d in self.distances_from(u):
+                if d is UNREACHABLE or d > bound:
                     return UNREACHABLE
-                diam = max(diam, d)
+                if d > diam:
+                    diam = d
         return diam
 
     def layers(self, u: int) -> list[list[int]]:
@@ -252,7 +240,10 @@ class MixedGraph:
         )
 
     def relabel(self, perm) -> "MixedGraph":
-        """Apply vertex relabeling v -> perm[v]."""
+        """Apply vertex relabeling v -> perm[v]; perm must be a permutation
+        of range(n)."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabeling is not a permutation of range({self.n}): {list(perm)}")
         edges = tuple(
             sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in self.edges)
         )

@@ -28,7 +28,7 @@ def dumps(g: MixedGraph, comments: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str, strict: bool = True) -> MixedGraph:
+def loads(text: str) -> MixedGraph:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "mgf 1":
         raise MgfFormatError("missing or bad header (expected 'mgf 1')")
@@ -54,7 +54,7 @@ def loads(text: str, strict: bool = True) -> MixedGraph:
         else:
             arcs.append((u, v))
     try:
-        return MixedGraph.build(n, edges, arcs, strict=strict)
+        return MixedGraph.build(n, edges, arcs)
     except Exception as exc:
         raise MgfFormatError(f"invalid graph: {exc}") from exc
 
@@ -64,6 +64,6 @@ def dump(g: MixedGraph, path, comments: list[str] | None = None) -> None:
         f.write(dumps(g, comments=comments))
 
 
-def load(path, strict: bool = True) -> MixedGraph:
+def load(path) -> MixedGraph:
     with open(path) as f:
-        return loads(f.read(), strict=strict)
+        return loads(f.read())

@@ -1,13 +1,15 @@
 """Exhaustive isomorph-free enumeration of (r, z)-regular mixed graphs of a
 given order and diameter.
 
-Strategy: generate the non-isomorphic r-regular undirected skeletons, extend
-each with a z-in/z-out-regular arc set by backtracking (no digons, no arc
+Strategy: generate the non-isomorphic r-regular undirected skeletons, then
+assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge), filter by diameter, and reject isomorphs through the
-canonical form.  For r = 1 the perfect matching {2i, 2i+1} is the unique
-skeleton up to isomorphism and is fixed outright; with z = 1 the skeleton's
-automorphism group is additionally quotiented by pinning vertex 0's out-arc
-to one orbit representative.
+canonical form.  The same backtracker splits the search into tasks: run with
+a stop depth, it hands over each feasible out-assignment of the first
+vertices, and each task completes one of them.  For r = 1 the perfect
+matching {2i, 2i+1} is the unique skeleton up to isomorphism and is fixed
+outright; with z = 1 the skeleton's automorphism group is additionally
+quotiented by pinning vertex 0's out-arc to one orbit representative.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from multiprocessing import Pool
 
 from .bounds import DegreePair, improved_bound
 from .errors import CapExceededError
-from .graph import MixedGraph
+from .graph import UNREACHABLE, MixedGraph
 
 __all__ = [
     "DiameterMode",
@@ -48,7 +50,6 @@ class SearchSpec:
     k: int
     n: int
     diameter_mode: DiameterMode = DiameterMode.EXACT
-    count_only: bool = False
     jobs: int = 1
 
 
@@ -69,7 +70,10 @@ class SearchResult:
 def order_cap() -> int:
     """Configured order cap; MOORE_SEARCH_CAP overrides the default."""
     raw = os.environ.get("MOORE_SEARCH_CAP")
-    return int(raw) if raw else DEFAULT_ORDER_CAP
+    try:
+        return int(raw) if raw else DEFAULT_ORDER_CAP
+    except ValueError:
+        raise ValueError(f"MOORE_SEARCH_CAP must be an integer, got {raw!r}") from None
 
 
 # -- stage 1: undirected skeletons ----------------------------------------
@@ -114,9 +118,11 @@ def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
 # -- stage 2/3: arc extension with pruning --------------------------------
 
 
-def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit):
-    """Complete a partial out-assignment `prefix` (list of out-tuples for
-    vertices 0..len(prefix)-1) in all feasible ways, calling emit(arcs)."""
+def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit, stop=None):
+    """Extend the partial out-assignment `prefix` (out-tuples of vertices
+    0..len(prefix)-1) in all feasible ways.  On reaching vertex `stop`, call
+    emit(out-tuples of vertices 0..stop-1) instead of going deeper; on
+    completing all n vertices, call emit(sorted arc tuple)."""
     out = list(prefix)
     indeg = [0] * n
     for v, targets in enumerate(out):
@@ -143,6 +149,9 @@ def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit):
         return len(depth) < n
 
     def rec(v):
+        if v == stop:
+            emit(tuple(out))
+            return
         if v == n:
             if all(x == z for x in indeg):
                 emit(tuple(sorted((a, b) for a, targets in enumerate(out) for b in targets)))
@@ -186,62 +195,25 @@ def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit):
     rec(len(out))
 
 
-def _prefixes(n, z, edge_nbrs, depth, first_targets=None):
-    """All valid out-assignments for vertices 0..depth-1, used to split the
-    search into independent tasks."""
-    results = []
-
-    def rec(v, out, indeg):
-        if v == depth:
-            results.append(tuple(out))
-            return
-        candidates = [
-            w
-            for w in range(n)
-            if w != v and indeg[w] < z and w not in edge_nbrs[v] and not any(v in t for u, t in enumerate(out) if w == u)
-        ]
-        for combo in itertools.combinations(candidates, z):
-            if v == 0 and first_targets is not None and combo != first_targets:
-                continue
-            for w in combo:
-                indeg[w] += 1
-            out.append(combo)
-            rec(v + 1, out, indeg)
-            out.pop()
-            for w in combo:
-                indeg[w] -= 1
-
-    rec(0, [], [0] * n)
-    return results
-
-
 def _run_task(args):
     n, z, k, edges, prefix, mode_value = args
     skeleton = MixedGraph(n=n, edges=edges, arcs=())
     edge_nbrs = [set(x) for x in skeleton.edge_neighbors]
     counters = Counter()
     found = {}
+    exact = mode_value == DiameterMode.EXACT.value
 
     def emit(arcs):
         g = MixedGraph(n=n, edges=edges, arcs=arcs)
-        # per-source eccentricity with early exit: both modes need diameter <= k
-        diam = 0
-        for u in range(n):
-            ecc = 0
-            for d in g.distances_from(u):
-                if d is None or d > k:
-                    counters["reject_diameter"] += 1
-                    return
-                ecc = d if d > ecc else ecc
-            diam = max(diam, ecc)
-        if mode_value == DiameterMode.EXACT.value and diam != k:
+        diam = g.diameter(limit=k)
+        if diam is UNREACHABLE or (exact and diam != k):
             counters["reject_diameter"] += 1
             return
         form = g.canonical_form()
         if form.encoding not in found:
             found[form.encoding] = g.relabel(form.permutation)
 
-    _arc_backtrack(n, z, k, edge_nbrs, list(prefix), counters, emit)
+    _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit)
     return {enc: (g.n, g.edges, g.arcs) for enc, g in found.items()}, dict(counters)
 
 
@@ -266,23 +238,19 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         result.wall_time = time.monotonic() - start
         return result
 
-    skeletons = regular_skeletons(n, r)
-    tasks = []
-    for sk in skeletons:
-        edge_nbrs = [set(x) for x in sk.edge_neighbors]
-        first = None
-        if r == 1 and z == 1 and n >= 4:
-            # matching automorphisms act transitively on (vertex 0, non-partner
-            # target), so vertex 0's arc may be pinned to vertex 2
-            first = (2,)
-        depth = min(2, n)
-        if z == 0:
-            tasks.append((n, z, k, sk.edges, (), spec.diameter_mode.value))
-            continue
-        for prefix in _prefixes(n, z, edge_nbrs, depth, first_targets=first):
-            tasks.append((n, z, k, sk.edges, prefix, spec.diameter_mode.value))
-
+    # with r = 1 and z = 1 (so n >= 4), the matching's automorphisms act
+    # transitively on (vertex 0, non-partner target): pin vertex 0's arc to 2
+    pin = [(2,)] if (r, z) == (1, 1) else []
     counters = Counter()
+    tasks = []
+    for sk in regular_skeletons(n, r):
+        # one task per feasible out-assignment of vertices 0 and 1 (the
+        # checks above leave n >= 2)
+        edge_nbrs = [set(x) for x in sk.edge_neighbors]
+        prefixes = []
+        _arc_backtrack(n, z, k, edge_nbrs, pin, counters, prefixes.append, stop=2)
+        tasks += [(n, z, k, sk.edges, p, spec.diameter_mode.value) for p in prefixes]
+
     merged = {}
     if spec.jobs > 1 and len(tasks) > 1:
         with Pool(spec.jobs) as pool:

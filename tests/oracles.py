@@ -85,6 +85,16 @@ def all_perfect_matchings(n: int):
             yield tuple(sorted([(0, v)] + [(min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in sub]))
 
 
+def adjacency_matrix(g: MixedGraph) -> list[list[int]]:
+    """0/1 matrix of the graph seen as a digraph (edges become digons)."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = 1
+    for u, v in g.arcs:
+        a[u][v] = 1
+    return a
+
+
 def _valid_permutation_arcs(n, perm, partner):
     for v in range(n):
         if perm[v] == v or perm[perm[v]] == v:
@@ -94,16 +104,31 @@ def _valid_permutation_arcs(n, perm, partner):
     return True
 
 
+def _out_assignments(n, z, partner):
+    """Every arc set giving each vertex z out- and z in-arcs, with no digon
+    and no arc along a matching edge.  For z = 1 the out-targets form a
+    permutation, which is scanned directly."""
+    if z == 1:
+        for perm in itertools.permutations(range(n)):
+            if _valid_permutation_arcs(n, perm, partner):
+                yield tuple(sorted((v, perm[v]) for v in range(n)))
+        return
+    choices = [
+        list(itertools.combinations([w for w in range(n) if w != v and w != partner.get(v)], z))
+        for v in range(n)
+    ]
+    every_vertex_z_times = sorted(list(range(n)) * z)  # the in-degree filter
+    for outs in itertools.product(*choices):
+        if sorted(itertools.chain.from_iterable(outs)) != every_vertex_z_times:
+            continue
+        if not any(v in outs[w] for v in range(n) for w in outs[v]):
+            yield tuple(sorted((v, w) for v in range(n) for w in outs[v]))
+
+
 def brute_force_labeled_graphs(r: int, z: int, n: int, fixed_matching: bool = False):
     """All labeled strict (r, z)-regular mixed graphs on n vertices for
-    (r, z) in {(1, 1), (2, 0), (0, 1)}, by generate-and-filter."""
-    if (r, z) == (0, 1):
-        for perm in itertools.permutations(range(n)):
-            if _valid_permutation_arcs(n, perm, None):
-                yield MixedGraph(
-                    n=n, edges=(), arcs=tuple(sorted((v, perm[v]) for v in range(n)))
-                )
-    elif (r, z) == (2, 0):
+    (r, z) = (2, 0) and for r in {0, 1} with any z, by generate-and-filter."""
+    if (r, z) == (2, 0):
         seen = set()
         for perm in itertools.permutations(range(n)):
             if not _valid_permutation_arcs(n, perm, None):
@@ -112,26 +137,24 @@ def brute_force_labeled_graphs(r: int, z: int, n: int, fixed_matching: bool = Fa
             if edges not in seen:
                 seen.add(edges)
                 yield MixedGraph(n=n, edges=edges, arcs=())
-    elif (r, z) == (1, 1):
-        if n % 2:
-            return
-        matchings = (
-            [tuple((2 * i, 2 * i + 1) for i in range(n // 2))]
-            if fixed_matching
-            else list(all_perfect_matchings(n))
-        )
-        for edges in matchings:
-            partner = {}
-            for a, b in edges:
-                partner[a] = b
-                partner[b] = a
-            for perm in itertools.permutations(range(n)):
-                if _valid_permutation_arcs(n, perm, partner):
-                    yield MixedGraph(
-                        n=n, edges=edges, arcs=tuple(sorted((v, perm[v]) for v in range(n)))
-                    )
-    else:
+        return
+    if r not in (0, 1):
         raise ValueError(f"no oracle for (r, z) = ({r}, {z})")
+    if r == 0:
+        matchings = [()]
+    elif n % 2:
+        return
+    elif fixed_matching:
+        matchings = [tuple((2 * i, 2 * i + 1) for i in range(n // 2))]
+    else:
+        matchings = list(all_perfect_matchings(n))
+    for edges in matchings:
+        partner = {}
+        for a, b in edges:
+            partner[a] = b
+            partner[b] = a
+        for arcs in _out_assignments(n, z, partner):
+            yield MixedGraph(n=n, edges=edges, arcs=arcs)
 
 
 def brute_force_class_counts(r: int, z: int, n: int, k_max: int, fixed_matching: bool = False):

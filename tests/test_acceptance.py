@@ -82,10 +82,17 @@ def test_criterion_04_improved_bounds():
             dp = DegreePair(d - z, z)
             for k in range(3, 9):
                 rep = improved_bound(dp, k)
+                if dp.z == 0:
+                    # undirected graphs: no Theorem 1, and M is even for odd r
+                    assert rep.improved == rep.moore, (dp, k)
+                    continue
+                # Theorem 1, then odd r forces an even order
+                expected = rep.moore - dp.r
+                if dp.r % 2 == 1 and expected % 2 == 1:
+                    expected -= 1
+                assert rep.improved == expected, (dp, k)
                 if dp.r % 2 == 1 and dp.z % 2 == 1 and k % 3 == 2:
-                    assert rep.improved == rep.moore - dp.r - 1
-                else:
-                    assert rep.improved == rep.moore - dp.r, (dp, k)
+                    assert rep.parity_applied, (dp, k)
     print("ACCEPTANCE 4 PASS: improved bounds correct on the d<=6, k<=8 grid")
 
 

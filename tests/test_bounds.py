@@ -146,6 +146,13 @@ class TestImprovedBound:
         rep = improved_bound(DegreePair(1, 1), 5)
         assert (rep.improved, rep.parity_applied) == (30, True)
         assert rep.rule_trace == ("thm1", "prop2")
+        # odd r with even z: M - r = 33 is odd, but the order must be even
+        assert improved_bound(DegreePair(1, 2), 3).improved == 32
+
+    def test_no_theorem_without_arcs(self):
+        # C_7 is (2,0)-regular with diameter 3 and order M(2,0,3) = 7
+        rep = improved_bound(DegreePair(2, 0), 3)
+        assert (rep.moore, rep.improved, rep.rule_trace) == (7, 7, ())
 
     def test_theorem_only(self):
         assert improved_bound(DegreePair(2, 1), 3).improved == 26
@@ -160,8 +167,10 @@ class TestImprovedBound:
             for k in range(9):
                 rep = improved_bound(dp, k)
                 assert rep.improved <= rep.moore
+                if k >= 3 and dp.r % 2 == 1:
+                    assert rep.improved % 2 == 0  # odd r forces even order
                 if rep.parity_applied:
-                    assert rep.improved == rep.moore - dp.r - 1
+                    assert dp.r % 2 == 1 and rep.rule_trace[-1] == "prop2"
 
     def test_parity_of_layer_sums(self):
         # N_i parities cycle 1,0,1 when r and z are odd, making the sum even

@@ -144,3 +144,31 @@ class TestConstruct:
         path = tmp_path / "ld.mgf"
         path.write_text(capsys.readouterr().out)
         assert run_cli("iso", str(path), str(golden_path(2))).returncode == 0
+
+
+class TestErrors:
+    """Bad values exit with a documented code and a one-line message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "-r", "0", "-z", "0", "-k", "3"],
+            ["search", "-r", "1", "-z", "1", "-k", "3", "-n", "0"],
+            ["table", "--dmax", "0"],
+        ],
+    )
+    def test_bad_value_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # search writes into the cwd by default
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MOORE_SEARCH_CAP", "abc")
+        rc = cli.main(["search", "-r", "1", "-z", "1", "-k", "3", "-n", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: MOORE_SEARCH_CAP")
+
+    def test_missing_file_exit_5(self, tmp_path, capsys):
+        assert cli.main(["spectrum", str(tmp_path / "absent.mgf")]) == 5
+        assert capsys.readouterr().err.startswith("error: ")

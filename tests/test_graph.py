@@ -18,7 +18,7 @@ from mooremix.errors import (
 from mooremix.graph import MixedGraph, build, is_isomorphic
 from mooremix import mgf
 
-from oracles import automorphisms_brute, count_walks_brute, matching_permutations
+from oracles import adjacency_matrix, automorphisms_brute, count_walks_brute, matching_permutations
 
 
 @st.composite
@@ -64,6 +64,14 @@ class TestBuild:
         with pytest.raises(LabelOutOfRangeError):
             build(2, [(0, 2)], [])
 
+    def test_relabel_rejects_non_permutation(self):
+        # a repeated label would merge vertices 0 and 1 into the loop (0, 0)
+        g = build(3, [(0, 1)], [(1, 2)])
+        with pytest.raises(ValueError):
+            g.relabel([0, 0, 1])
+        with pytest.raises(ValueError):
+            g.relabel([0, 1])
+
     def test_golden_file_is_valid(self):
         g = golden_graphs()[0]
         assert g.n == 10
@@ -97,6 +105,8 @@ class TestDistances:
     def test_cycle_diameters(self):
         assert cycle(5, directed=False).diameter() == 2
         assert cycle(5, directed=True).diameter() == 4
+        assert cycle(7, directed=False).diameter(limit=2) is None
+        assert cycle(7, directed=False).diameter(limit=3) == 3
 
     def test_disconnected_unreachable(self):
         g = build(4, [(0, 1), (2, 3)], [])
@@ -192,14 +202,14 @@ class TestConverse:
 
 class TestAdjacencyMatrix:
     def test_single_edge(self):
-        assert build(2, [(0, 1)], []).adjacency_matrix().tolist() == [[0, 1], [1, 0]]
+        assert adjacency_matrix(build(2, [(0, 1)], [])) == [[0, 1], [1, 0]]
 
     def test_single_arc(self):
-        assert build(2, [], [(0, 1)]).adjacency_matrix().tolist() == [[0, 1], [0, 0]]
+        assert adjacency_matrix(build(2, [], [(0, 1)])) == [[0, 1], [0, 0]]
 
     def test_golden_row_sums(self):
-        a = golden_graphs()[0].adjacency_matrix()
-        assert list(a.sum(axis=1)) == [2] * 10
+        a = adjacency_matrix(golden_graphs()[0])
+        assert [sum(row) for row in a] == [2] * 10
 
 
 class TestCanonicalForm:

@@ -92,7 +92,7 @@ class TestBruteForceAgreement:
         fixed = brute_force_class_counts(1, 1, n, 4, fixed_matching=True)
         assert full == fixed
 
-    @pytest.mark.parametrize("r,z", [(1, 1), (2, 0), (0, 1)])
+    @pytest.mark.parametrize("r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2)])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_counts_match_oracle(self, r, z, n):
         oracle = brute_force_class_counts(r, z, n, 4, fixed_matching=True)
@@ -107,6 +107,7 @@ class TestMaxOrder:
         assert max_order(DegreePair(1, 1), 3)[0] == 10
         assert max_order(DegreePair(1, 1), 2)[0] == 6
         assert max_order(DegreePair(2, 0), 1)[0] == 3
+        assert max_order(DegreePair(2, 0), 3)[0] == 7  # C_7, from the default n_hi
 
     def test_result_attached(self):
         n, res = max_order(DegreePair(1, 1), 2)
