@@ -3,15 +3,16 @@ individualization.
 
 The refinement colors vertices by (edge degree, out-degree, in-degree) and
 iterates on neighborhood color multisets (edge / out-arc / in-arc kept
-separate).  Non-singleton cells are resolved by branching on every vertex of
-the first such cell; the minimum relabeled adjacency encoding over all
-leaves is the canonical form, and the number of leaves attaining it is the
-automorphism group order.  Exact but exponential in the worst case; intended
-for n up to ~24.
+separate).  Non-singleton cells are resolved by branching on the vertices of
+the first such cell, one per class of twins (vertices that a transposition
+automorphism swaps); the minimum relabeled adjacency encoding over all leaves
+is the canonical form, and the number of leaves attaining it is the
+automorphism group order.  Exponential in the worst case; for n up to ~24.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceededError
@@ -86,36 +87,35 @@ def canonicalize(g) -> CanonicalResult:
         form = CanonicalForm(permutation=(), encoding=b"0;;")
         return CanonicalResult(form=form, automorphisms=1)
 
-    prof = g.degrees()
-    init = tuple(zip(prof.r, prof.z_out, prof.z_in))
-    order = sorted(set(init))
-    rank = {s: i for i, s in enumerate(order)}
-    colors0 = tuple(rank[s] for s in init)
-
-    best = {"key": None, "label": None, "count": 0}
+    # twin[v]: the least u such that swapping u and v is an automorphism
+    nbrs = [(set(g.edge_neighbors[v]), g.out_neighbors[v], g.in_neighbors[v]) for v in range(n)]
+    twin = list(range(n))
+    for u, v in itertools.combinations(range(n), 2):
+        (eu, ou, iu), (ev, ov, iv) = nbrs[u], nbrs[v]
+        if twin[v] == v and ou == ov and iu == iv and eu - {v} == ev - {u}:
+            twin[v] = u
 
     def descend(colors):
+        """(least leaf key, first leaf label attaining it, leaves attaining
+        it) over the subtree below `colors`."""
         colors = _refine(g, colors)
         cell = _first_nonsingleton_cell(colors, n)
         if cell is None:
-            label = colors  # discrete: color index is the new label
-            key = _encode_under(g, label)
-            if best["key"] is None or key < best["key"]:
-                best["key"] = key
-                best["label"] = label
-                best["count"] = 1
-            elif key == best["key"]:
-                best["count"] += 1
-            return
+            return _encode_under(g, colors), colors, 1  # color index is the new label
+        done = {}
         for v in cell:
-            # individualize v: give it a color just below the rest of its cell
-            sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
-            order = sorted(set(sigs))
-            rank = {s: i for i, s in enumerate(order)}
-            descend(tuple(rank[s] for s in sigs))
+            # twins in one cell are swapped by an automorphism that fixes
+            # this node, so their subtrees hold the same leaf keys
+            if twin[v] not in done:
+                # individualize v: give it a color just below the rest of its cell
+                sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
+                rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+                done[twin[v]] = descend(tuple(rank[s] for s in sigs))
+        subs = [done[twin[v]] for v in cell]
+        key, label, _ = min(subs, key=lambda sub: sub[0])  # first of equal keys
+        return key, label, sum(count for k, _, count in subs if k == key)
 
-    descend(colors0)
-    edges, arcs = best["key"]
-    enc = f"{n};{edges};{arcs}".encode()
-    form = CanonicalForm(permutation=tuple(best["label"]), encoding=enc)
-    return CanonicalResult(form=form, automorphisms=best["count"])
+    # one refinement round splits uniform colors by (edge, out, in) degree
+    (edges, arcs), label, count = descend((0,) * n)
+    form = CanonicalForm(permutation=tuple(label), encoding=f"{n};{edges};{arcs}".encode())
+    return CanonicalResult(form=form, automorphisms=count)

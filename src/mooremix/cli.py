@@ -67,12 +67,12 @@ def _cmd_search(args) -> int:
     dp = DegreePair(args.r, args.z)
     mode = DiameterMode.AT_MOST if args.mode == "at-most" else DiameterMode.EXACT
     spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode, jobs=args.jobs)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the search, not after
     res = enumerate_classes(spec, cap=order_cap())
     print(f"classes={len(res.classes)}")
     if res.infeasible_reason:
         print(f"infeasible: {res.infeasible_reason}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not args.count_only:
         for i, g in enumerate(res.graphs):
             path = out_dir / f"{args.r}_{args.z}_k{args.k}_n{args.n}_{i}.mgf"
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # exit code per error type (see the module docstring); any other
-# MooremixError or ValueError means a bad argument value: exit 2
+# MooremixError, ValueError or OSError means a bad argument value: exit 2
 _EXIT_CODES = {DegenerateParametersError: 3, CapExceededError: 4, MgfFormatError: 5}
 
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MooremixError, ValueError) as exc:
+    except (MooremixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
 

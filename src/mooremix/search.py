@@ -6,10 +6,12 @@ assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge), filter by diameter, and reject isomorphs through the
 canonical form.  The same backtracker splits the search into tasks: run with
 a stop depth, it hands over each feasible out-assignment of the first
-vertices, and each task completes one of them.  For r = 1 the perfect
-matching {2i, 2i+1} is the unique skeleton up to isomorphism and is fixed
-outright; with z = 1 the skeleton's automorphism group is additionally
-quotiented by pinning vertex 0's out-arc to one orbit representative.
+vertices, and each task completes one of them.  The skeleton generator
+treats the vertices that no edge touches yet as interchangeable and offers
+only the first few of them, so for r = 0 it yields the edgeless graph and
+for r = 1 only the perfect matching {2i, 2i+1}; with (r, z) = (1, 1) the
+matching's automorphism group is additionally quotiented by pinning vertex
+0's out-arc to one orbit representative.
 """
 
 from __future__ import annotations
@@ -81,27 +83,18 @@ def order_cap() -> int:
 
 def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
     """Non-isomorphic r-regular undirected graphs on n vertices."""
-    if r == 0:
-        return [MixedGraph(n=n, edges=(), arcs=())]
-    if r >= n or (r * n) % 2 == 1:
+    if r and (r >= n or (r * n) % 2):
         return []
-    if r == 1:
-        edges = tuple((2 * i, 2 * i + 1) for i in range(n // 2))
-        return [MixedGraph(n=n, edges=edges, arcs=())]
-
-    seen = {}
+    labeled = []
 
     def extend(v, deg, edges):
         if v == n:
-            g = MixedGraph(n=n, edges=tuple(sorted(edges)), arcs=())
-            seen.setdefault(g.canonical_form().encoding, g)
+            labeled.append(MixedGraph(n=n, edges=tuple(sorted(edges)), arcs=()))
             return
         need = r - deg[v]
-        if need < 0:
-            return
-        candidates = [w for w in range(v + 1, n) if deg[w] < r]
-        if need > len(candidates):
-            return
+        # vertices above v with no edge yet are interchangeable: offer `need`
+        fresh = [w for w in range(v + 1, n) if deg[w] == 0][:need]
+        candidates = sorted(fresh + [w for w in range(v + 1, n) if 0 < deg[w] < r])
         for combo in itertools.combinations(candidates, need):
             for w in combo:
                 deg[w] += 1
@@ -112,6 +105,13 @@ def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
                 deg[w] -= 1
 
     extend(0, [0] * n, [])
+    # a single labeled graph (always so for r <= 1) needs no canonical
+    # labeling, which would cost (n/2)! leaves on a perfect matching
+    if len(labeled) <= 1:
+        return labeled
+    seen = {}
+    for g in labeled:
+        seen.setdefault(g.canonical_form().encoding, g)
     return [seen[k] for k in sorted(seen)]
 
 

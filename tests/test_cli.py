@@ -169,6 +169,19 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: MOORE_SEARCH_CAP")
 
+    def test_out_names_a_file_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "taken.txt"
+        target.write_text("keep\n")
+        rc = cli.main(
+            ["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--count-only",
+             "--out", str(target)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the search ran
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert target.read_text() == "keep\n"
+
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert cli.main(["spectrum", str(tmp_path / "absent.mgf")]) == 5
         assert capsys.readouterr().err.startswith("error: ")

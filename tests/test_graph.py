@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -240,6 +241,16 @@ class TestCanonicalForm:
     def test_automorphism_count_matches_brute_force(self):
         g = build(4, [(0, 1)], [(1, 2), (2, 3), (3, 0)])
         assert g.automorphism_count() == automorphisms_brute(g)
+        # graphs with twins, which canonical labeling branches on once per cell
+        twinned = [
+            build(6, [], []),
+            build(5, list(itertools.combinations(range(5), 2)), []),
+            build(5, [(u, v) for u in range(2) for v in range(2, 5)], []),
+            build(6, [(0, 1), (2, 3)], [(0, 4), (1, 4), (2, 5), (3, 5)]),
+            build(6, [(0, 1)], [(2, 0), (2, 1), (3, 0), (3, 1), (4, 5)]),
+        ]
+        for h in twinned:
+            assert h.automorphism_count() == automorphisms_brute(h), h
 
     def test_cayley_graph_automorphisms(self):
         # edge-preserving maps must respect the matching, so the brute scan

@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+
+import networkx as nx
 import pytest
 
 from mooremix.bounds import DegreePair
@@ -20,10 +24,37 @@ def run(r, z, k, n, mode=DiameterMode.EXACT, jobs=1):
     )
 
 
+def partitions_into_parts_at_least(n, smallest):
+    """Number of partitions of n into parts >= smallest."""
+    if n == 0:
+        return 1
+    return sum(partitions_into_parts_at_least(n - p, p) for p in range(smallest, n + 1))
+
+
+def undirected_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def assert_regular_and_distinct(skeletons, n, r):
+    """Every skeleton is r-regular on n vertices, and networkx finds no two
+    of them isomorphic."""
+    for g in skeletons:
+        assert g.n == n and g.arcs == ()
+        assert all(len(nbrs) == r for nbrs in g.edge_neighbors)
+    hs = [undirected_networkx(g) for g in skeletons]
+    for a, b in itertools.combinations(hs, 2):
+        assert not nx.is_isomorphic(a, b), (n, r)
+
+
 class TestSkeletons:
     def test_r0(self):
         (g,) = regular_skeletons(5, 0)
         assert g.edges == () and g.n == 5
+        (g,) = regular_skeletons(0, 0)
+        assert g.n == 0
 
     def test_r1_is_matching(self):
         (g,) = regular_skeletons(6, 1)
@@ -35,10 +66,33 @@ class TestSkeletons:
         assert len(regular_skeletons(6, 2)) == 2  # 6 and 3+3
         assert len(regular_skeletons(7, 2)) == 2  # 7 and 3+4
         assert len(regular_skeletons(9, 2)) == 4  # 9, 3+6, 4+5, 3+3+3
+        for n in range(1, 11):
+            assert len(regular_skeletons(n, 2)) == partitions_into_parts_at_least(n, 3), n
 
     def test_r3_cubic_counts(self):
         assert len(regular_skeletons(4, 3)) == 1  # K4
         assert len(regular_skeletons(6, 3)) == 2  # K_{3,3} and the prism
+        # cubic graphs, not necessarily connected: 1, 2, 6, 21 (OEIS A005638)
+        assert len(regular_skeletons(8, 3)) == 6
+        cubic10 = regular_skeletons(10, 3)
+        assert len(cubic10) == 21
+        assert_regular_and_distinct(cubic10, 10, 3)
+        assert [len(regular_skeletons(n, 3)) for n in (5, 7, 9)] == [0, 0, 0]
+
+    def test_counts_match_graph_atlas(self):
+        # the atlas lists every graph on at most 7 vertices once
+        atlas = Counter()
+        for h in nx.graph_atlas_g():
+            degrees = {d for _, d in h.degree()}
+            if len(degrees) == 1:
+                atlas[(h.number_of_nodes(), degrees.pop())] += 1
+        for n in range(1, 8):
+            for r in range(n):
+                assert len(regular_skeletons(n, r)) == atlas[(n, r)], (n, r)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 9) for r in range(n)])
+    def test_regular_and_pairwise_non_isomorphic(self, n, r):
+        assert_regular_and_distinct(regular_skeletons(n, r), n, r)
 
 
 class TestEnumerate:
@@ -108,6 +162,14 @@ class TestMaxOrder:
         assert max_order(DegreePair(1, 1), 2)[0] == 6
         assert max_order(DegreePair(2, 0), 1)[0] == 3
         assert max_order(DegreePair(2, 0), 3)[0] == 7  # C_7, from the default n_hi
+
+    def test_petersen_witness(self):
+        # the Moore bound M(3,0,2) = 10 is attained by the Petersen graph alone
+        n, res = max_order(DegreePair(3, 0), 2)
+        assert n == 10 and len(res.classes) == 1
+        (g,) = res.graphs
+        assert nx.is_isomorphic(undirected_networkx(g), nx.petersen_graph())
+        assert g.automorphism_count() == 120
 
     def test_result_attached(self):
         n, res = max_order(DegreePair(1, 1), 2)
