@@ -160,7 +160,7 @@ def moore_bound_closed_form(dp: DegreePair, k: int) -> float:
     Rejects (0, 1) and (2, 0), where one root equals 1 and the formula has a
     vanishing denominator (these are the directed and undirected cycles).
     The repeated-root case (1, 0) is evaluated directly: the tree is a
-    single edge, so the bound is 2 for k >= 1.
+    single edge, so the bound is 2 for k >= 1.  Overflow raises ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -170,7 +170,13 @@ def moore_bound_closed_form(dp: DegreePair, k: int) -> float:
     if (r, z) == (1, 0):
         return 1.0 if k == 0 else 2.0
     p = ClosedFormParams.from_degrees(dp)
-    return p.A * (p.u1 ** (k + 1) - 1) / (p.u1 - 1) + p.B * (p.u2 ** (k + 1) - 1) / (p.u2 - 1)
+    try:
+        value = p.A * (p.u1 ** (k + 1) - 1) / (p.u1 - 1) + p.B * (p.u2 ** (k + 1) - 1) / (p.u2 - 1)
+        if math.isfinite(value):  # a power raises on overflow, a product gives inf
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"closed form overflows a float at k={k}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .errors import CapExceededError, DegenerateParametersError, MgfFormatError, MooremixError
 from .graph import is_isomorphic
-from .search import DiameterMode, SearchSpec, SearchResult, enumerate_classes, order_cap
+from .search import DiameterMode, SearchSpec, enumerate_classes
 
 
 def _cmd_bound(args) -> int:
@@ -69,7 +69,7 @@ def _cmd_search(args) -> int:
     spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before the search, not after
-    res = enumerate_classes(spec, cap=order_cap())
+    res = enumerate_classes(spec)
     print(f"classes={len(res.classes)}")
     if res.infeasible_reason:
         print(f"infeasible: {res.infeasible_reason}")

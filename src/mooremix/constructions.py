@@ -31,20 +31,18 @@ def cycle(n: int, directed: bool) -> MixedGraph:
 def line_digraph_of_cycle_digons(n: int) -> MixedGraph:
     """Line digraph of the n-cycle viewed as a digraph of digons.
 
-    Vertices are the 2n arcs of the digon cycle; consecutive arcs are joined.
-    The opposite-arc pairs that appear become edges (lenient normalization),
+    Vertices are the 2n arcs of the digon cycle: i is (i, i+1) and n + i is
+    (i+1, i), indices mod n.  Consecutive arcs (u, v), (v, w) are joined.
+    Where w = u the pair is joined both ways, and that digon is an edge,
     giving a (1, 1)-regular mixed graph on 2n vertices.
     """
     if n < 3:
         raise ValueError("needs n >= 3")
     darcs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
     index = {a: i for i, a in enumerate(darcs)}
-    arcs = []
-    for (u, v) in darcs:
-        for (x, w) in darcs:
-            if x == v:
-                arcs.append((index[(u, v)], index[(v, w)]))
-    return MixedGraph.build(2 * n, [], arcs, strict=False)
+    edges = [(i, n + i) for i in range(n)]
+    arcs = [(index[(u, v)], index[(v, w)]) for (u, v) in darcs for (x, w) in darcs if x == v and w != u]
+    return MixedGraph.build(2 * n, edges, arcs)
 
 
 def cayley_dihedral(n: int) -> MixedGraph:

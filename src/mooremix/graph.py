@@ -59,8 +59,8 @@ class MixedGraph:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def build(n, edges, arcs, strict: bool = True) -> "MixedGraph":
-        """Validate and normalize; in lenient mode digons become edges."""
+    def build(n, edges, arcs) -> "MixedGraph":
+        """Validate and normalize."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         edge_set = set()
@@ -84,14 +84,7 @@ class MixedGraph:
             arc_set.add((u, v))
         digons = {(u, v) for (u, v) in arc_set if u < v and (v, u) in arc_set}
         if digons:
-            if strict:
-                raise DigonConflictError(f"digons present: {sorted(digons)}")
-            for u, v in digons:
-                arc_set.discard((u, v))
-                arc_set.discard((v, u))
-                if (u, v) in edge_set:
-                    raise DuplicateError(f"digon ({u}, {v}) collides with existing edge")
-                edge_set.add((u, v))
+            raise DigonConflictError(f"digons present: {sorted(digons)}")
         for u, v in arc_set:
             if (min(u, v), max(u, v)) in edge_set:
                 raise ParallelArcEdgeError(f"arc ({u}, {v}) parallel to an edge")
@@ -265,8 +258,8 @@ class MixedGraph:
         return self._canon.automorphisms
 
 
-def build(n, edges, arcs, strict: bool = True) -> MixedGraph:
-    return MixedGraph.build(n, edges, arcs, strict=strict)
+def build(n, edges, arcs) -> MixedGraph:
+    return MixedGraph.build(n, edges, arcs)
 
 
 def is_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:

@@ -4,14 +4,12 @@ given order and diameter.
 Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge), filter by diameter, and reject isomorphs through the
-canonical form.  The same backtracker splits the search into tasks: run with
-a stop depth, it hands over each feasible out-assignment of the first
-vertices, and each task completes one of them.  The skeleton generator
-treats the vertices that no edge touches yet as interchangeable and offers
-only the first few of them, so for r = 0 it yields the edgeless graph and
-for r = 1 only the perfect matching {2i, 2i+1}; with (r, z) = (1, 1) the
-matching's automorphism group is additionally quotiented by pinning vertex
-0's out-arc to one orbit representative.
+canonical form.  The same backtracker, stopped at vertex 2, splits the
+search into tasks: one per isomorphism class of partial graphs (skeleton
+plus the out-arcs of vertices 0 and 1).  The skeleton generator treats the
+vertices that no edge touches yet as interchangeable and offers only the
+first few of them, so for r = 0 it yields the edgeless graph and for r = 1
+only the perfect matching {2i, 2i+1}.
 """
 
 from __future__ import annotations
@@ -118,11 +116,19 @@ def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
 # -- stage 2/3: arc extension with pruning --------------------------------
 
 
-def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit, stop=None):
-    """Extend the partial out-assignment `prefix` (out-tuples of vertices
-    0..len(prefix)-1) in all feasible ways.  On reaching vertex `stop`, call
-    emit(out-tuples of vertices 0..stop-1) instead of going deeper; on
-    completing all n vertices, call emit(sorted arc tuple)."""
+def _graph(skeleton, out):
+    """The mixed graph of `skeleton` plus the arcs v -> w for w in out[v]."""
+    arcs = tuple((v, w) for v, targets in enumerate(out) for w in targets)
+    return MixedGraph(n=skeleton.n, edges=skeleton.edges, arcs=arcs)
+
+
+def _arc_backtrack(skeleton, z, k, prefix, counters, emit, stop=None):
+    """Extend the out-tuples `prefix` of vertices 0..len(prefix)-1 of
+    `skeleton` in all feasible ways: z out-arcs and at most z in-arcs per
+    vertex (so exactly z at vertex n), no digon, no arc along an edge.  On
+    reaching vertex `stop` or n, call emit(tuple of sorted out-tuples)."""
+    n = skeleton.n
+    edge_nbrs = [set(x) for x in skeleton.edge_neighbors]
     out = list(prefix)
     indeg = [0] * n
     for v, targets in enumerate(out):
@@ -149,12 +155,8 @@ def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit, stop=None):
         return len(depth) < n
 
     def rec(v):
-        if v == stop:
+        if v == stop or v == n:
             emit(tuple(out))
-            return
-        if v == n:
-            if all(x == z for x in indeg):
-                emit(tuple(sorted((a, b) for a, targets in enumerate(out) for b in targets)))
             return
         counters["nodes"] += 1
         # each missing in-arc of w must come from an eligible source in v..n-1
@@ -195,26 +197,23 @@ def _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit, stop=None):
     rec(len(out))
 
 
-def _run_task(args):
-    n, z, k, edges, prefix, mode_value = args
-    skeleton = MixedGraph(n=n, edges=edges, arcs=())
-    edge_nbrs = [set(x) for x in skeleton.edge_neighbors]
+def _run_task(task):
+    skeleton, z, k, prefix, mode = task
     counters = Counter()
     found = {}
-    exact = mode_value == DiameterMode.EXACT.value
 
-    def emit(arcs):
-        g = MixedGraph(n=n, edges=edges, arcs=arcs)
+    def emit(out):
+        g = _graph(skeleton, out)
         diam = g.diameter(limit=k)
-        if diam is UNREACHABLE or (exact and diam != k):
+        if diam is UNREACHABLE or (mode is DiameterMode.EXACT and diam != k):
             counters["reject_diameter"] += 1
             return
         form = g.canonical_form()
         if form.encoding not in found:
             found[form.encoding] = g.relabel(form.permutation)
 
-    _arc_backtrack(n, z, k, edge_nbrs, prefix, counters, emit)
-    return {enc: (g.n, g.edges, g.arcs) for enc, g in found.items()}, dict(counters)
+    _arc_backtrack(skeleton, z, k, prefix, counters, emit)
+    return found, counters
 
 
 def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
@@ -238,18 +237,22 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         result.wall_time = time.monotonic() - start
         return result
 
-    # with r = 1 and z = 1 (so n >= 4), the matching's automorphisms act
-    # transitively on (vertex 0, non-partner target): pin vertex 0's arc to 2
-    pin = [(2,)] if (r, z) == (1, 1) else []
     counters = Counter()
     tasks = []
     for sk in regular_skeletons(n, r):
-        # one task per feasible out-assignment of vertices 0 and 1 (the
-        # checks above leave n >= 2)
-        edge_nbrs = [set(x) for x in sk.edge_neighbors]
+        # one task per isomorphism class of prefix graphs (the skeleton plus
+        # the out-arcs of vertices 0 and 1; n >= 2 here), the first prefix in
+        # the backtracker's order.  For z >= 1 only vertices 0 and 1 have
+        # out-arcs there, so an isomorphism of prefix graphs fixes {0, 1} and
+        # the skeleton and maps each completion of one prefix onto one of the
+        # other; for z = 0 the one prefix is empty.  The ball and deficit
+        # prunes drop only graphs that cannot qualify.
         prefixes = []
-        _arc_backtrack(n, z, k, edge_nbrs, pin, counters, prefixes.append, stop=2)
-        tasks += [(n, z, k, sk.edges, p, spec.diameter_mode.value) for p in prefixes]
+        _arc_backtrack(sk, z, k, (), counters, prefixes.append, stop=2)
+        kept = {}
+        for p in prefixes:
+            kept.setdefault(_graph(sk, p).canonical_form().encoding, p)
+        tasks += [(sk, z, k, p, spec.diameter_mode) for p in kept.values()]
 
     merged = {}
     if spec.jobs > 1 and len(tasks) > 1:
@@ -259,8 +262,8 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         outputs = [_run_task(t) for t in tasks]
     for found, cnt in outputs:
         counters.update(cnt)
-        for enc, (gn, ge, ga) in found.items():
-            merged.setdefault(enc, MixedGraph(n=gn, edges=ge, arcs=ga))
+        for enc, g in found.items():
+            merged.setdefault(enc, g)
 
     graphs = [merged[enc] for enc in sorted(merged)]
     result.classes = [g.canonical_form() for g in graphs]

@@ -95,26 +95,24 @@ def adjacency_matrix(g: MixedGraph) -> list[list[int]]:
     return a
 
 
-def _valid_permutation_arcs(n, perm, partner):
-    for v in range(n):
-        if perm[v] == v or perm[perm[v]] == v:
-            return False
-        if partner is not None and perm[v] == partner.get(v):
-            return False
-    return True
+def _valid_permutation_arcs(perm, nbrs):
+    """The arcs v -> perm[v] have no loop, no digon and none along an edge."""
+    return all(
+        perm[v] != v and perm[perm[v]] != v and perm[v] not in nbrs[v] for v in range(len(perm))
+    )
 
 
-def _out_assignments(n, z, partner):
+def _out_assignments(n, z, nbrs):
     """Every arc set giving each vertex z out- and z in-arcs, with no digon
-    and no arc along a matching edge.  For z = 1 the out-targets form a
-    permutation, which is scanned directly."""
+    and no arc along an edge of the skeleton (nbrs[v]: v's edge neighbours).
+    For z = 1 the out-targets form a permutation, which is scanned directly."""
     if z == 1:
         for perm in itertools.permutations(range(n)):
-            if _valid_permutation_arcs(n, perm, partner):
+            if _valid_permutation_arcs(perm, nbrs):
                 yield tuple(sorted((v, perm[v]) for v in range(n)))
         return
     choices = [
-        list(itertools.combinations([w for w in range(n) if w != v and w != partner.get(v)], z))
+        list(itertools.combinations([w for w in range(n) if w != v and w not in nbrs[v]], z))
         for v in range(n)
     ]
     every_vertex_z_times = sorted(list(range(n)) * z)  # the in-degree filter
@@ -125,35 +123,65 @@ def _out_assignments(n, z, partner):
             yield tuple(sorted((v, w) for v in range(n) for w in outs[v]))
 
 
-def brute_force_labeled_graphs(r: int, z: int, n: int, fixed_matching: bool = False):
-    """All labeled strict (r, z)-regular mixed graphs on n vertices for
-    (r, z) = (2, 0) and for r in {0, 1} with any z, by generate-and-filter."""
-    if (r, z) == (2, 0):
-        seen = set()
-        for perm in itertools.permutations(range(n)):
-            if not _valid_permutation_arcs(n, perm, None):
-                continue
+def partitions(n: int, smallest: int):
+    """Partitions of n into parts >= smallest, as non-decreasing lists."""
+    if n == 0:
+        yield []
+        return
+    for p in range(smallest, n + 1):
+        for rest in partitions(n - p, p):
+            yield [p] + rest
+
+
+def cycle_covers(n: int, one_per_partition: bool = False):
+    """Edge sets of the 2-regular graphs on n vertices: every labeled one,
+    once, read off the permutations with no fixed point and no 2-cycle
+    (edges v -- perm[v]); with `one_per_partition`, one per partition of n
+    into parts >= 3 (cycles on consecutive labels)."""
+    if one_per_partition:
+        for parts in partitions(n, 3):
+            edges, start = [], 0
+            for p in parts:
+                edges += [(start + i, start + i + 1) for i in range(p - 1)] + [(start, start + p - 1)]
+                start += p
+            yield tuple(sorted(edges))
+        return
+    seen = set()
+    no_edges = [()] * n
+    for perm in itertools.permutations(range(n)):
+        if _valid_permutation_arcs(perm, no_edges):
             edges = tuple(sorted((min(v, perm[v]), max(v, perm[v])) for v in range(n)))
             if edges not in seen:
                 seen.add(edges)
-                yield MixedGraph(n=n, edges=edges, arcs=())
-        return
-    if r not in (0, 1):
-        raise ValueError(f"no oracle for (r, z) = ({r}, {z})")
+                yield edges
+
+
+def brute_force_labeled_graphs(r: int, z: int, n: int, fixed_matching: bool = False):
+    """All labeled strict (r, z)-regular mixed graphs on n vertices for
+    r in {0, 1, 2} and any z, by generate-and-filter.  With
+    `fixed_matching` the skeleton is one labeled graph per isomorphism class
+    (the matching {2i, 2i+1} for r = 1, one cycle cover per partition of n
+    for r = 2), which loses no class: relabel any graph so that its skeleton
+    is the chosen one."""
     if r == 0:
-        matchings = [()]
-    elif n % 2:
-        return
-    elif fixed_matching:
-        matchings = [tuple((2 * i, 2 * i + 1) for i in range(n // 2))]
+        skeletons = [()]
+    elif r == 1:
+        if n % 2:
+            return
+        if fixed_matching:
+            skeletons = [tuple((2 * i, 2 * i + 1) for i in range(n // 2))]
+        else:
+            skeletons = list(all_perfect_matchings(n))
+    elif r == 2:
+        skeletons = list(cycle_covers(n, one_per_partition=fixed_matching))
     else:
-        matchings = list(all_perfect_matchings(n))
-    for edges in matchings:
-        partner = {}
+        raise ValueError(f"no oracle for (r, z) = ({r}, {z})")
+    for edges in skeletons:
+        nbrs = [set() for _ in range(n)]
         for a, b in edges:
-            partner[a] = b
-            partner[b] = a
-        for arcs in _out_assignments(n, z, partner):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for arcs in _out_assignments(n, z, nbrs):
             yield MixedGraph(n=n, edges=edges, arcs=arcs)
 
 

@@ -16,7 +16,9 @@ from mooremix.bounds import (
     moore_bound_matrix,
     moore_table,
 )
+from mooremix.constructions import cayley_dihedral, cycle, line_digraph_of_cycle_digons
 from mooremix.errors import DegenerateParametersError
+from mooremix.search import max_order
 
 DEGENERATE = {(0, 1), (2, 0)}
 
@@ -135,6 +137,12 @@ class TestClosedForm:
             with pytest.raises(DegenerateParametersError):
                 moore_bound_closed_form(DegreePair(r, z), 2)
 
+    @pytest.mark.parametrize("r,z,k", [(1, 1, 2000), (1, 1, 1473), (5, 5, 1000)])
+    def test_overflow_rejected(self, r, z, k):
+        # (1, 1, 1473) overflows to inf in a product, the others in a power
+        with pytest.raises(ValueError, match=f"k={k}"):
+            moore_bound_closed_form(DegreePair(r, z), k)
+
 
 class TestImprovedBound:
     def test_k3(self):
@@ -181,6 +189,31 @@ class TestImprovedBound:
             for k in range(13):
                 if k % 3 == 2:
                     assert sum(ns[: k + 1]) % 2 == 0
+
+
+class TestWitnesses:
+    """A bound is never below the order of a graph the library builds or finds."""
+
+    def test_constructions(self):
+        graphs = [cycle(length, directed) for length in range(3, 31) for directed in (False, True)]
+        graphs += [cayley_dihedral(m) for m in range(3, 21)]
+        graphs += [line_digraph_of_cycle_digons(m) for m in range(3, 21)]
+        for g in graphs:
+            dp, k = g.total_regularity(), g.diameter()
+            assert g.n <= improved_bound(dp, k).improved, (g.n, dp, k)
+        # m = 5 gives order 10 at diameter 3, where the bound is tight
+        for g in (cayley_dihedral(5), line_digraph_of_cycle_digons(5)):
+            assert g.n == improved_bound(g.total_regularity(), g.diameter()).improved == 10
+
+    @pytest.mark.parametrize(
+        "r,z,k,expected",
+        [(1, 1, 2, 6), (1, 1, 3, 10), (2, 0, 2, 5), (2, 0, 3, 7), (0, 1, 3, 4), (0, 2, 2, 6)],
+    )
+    def test_search_maxima(self, r, z, k, expected):
+        dp = DegreePair(r, z)
+        n, _ = max_order(dp, k, n_hi=moore_bound(dp, k))
+        assert n == expected
+        assert n <= improved_bound(dp, k).improved
 
 
 class TestFibonacciIdentity:

@@ -155,6 +155,7 @@ class TestErrors:
             ["bound", "-r", "0", "-z", "0", "-k", "3"],
             ["search", "-r", "1", "-z", "1", "-k", "3", "-n", "0"],
             ["table", "--dmax", "0"],
+            ["bound", "-r", "1", "-z", "1", "-k", "2000", "--closed-form"],
         ],
     )
     def test_bad_value_exit_2(self, argv, tmp_path, monkeypatch, capsys):

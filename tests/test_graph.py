@@ -41,10 +41,6 @@ def mixed_graphs(draw, max_n=8):
 
 
 class TestBuild:
-    def test_digon_normalized_lenient(self):
-        g = build(2, [], [(0, 1), (1, 0)], strict=False)
-        assert g.edges == ((0, 1),) and g.arcs == ()
-
     def test_digon_rejected_strict(self):
         with pytest.raises(DigonConflictError):
             build(2, [], [(0, 1), (1, 0)])

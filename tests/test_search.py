@@ -15,20 +15,13 @@ from mooremix.search import (
     regular_skeletons,
 )
 
-from oracles import brute_force_class_counts
+from oracles import brute_force_class_counts, partitions
 
 
 def run(r, z, k, n, mode=DiameterMode.EXACT, jobs=1):
     return enumerate_classes(
         SearchSpec(dp=DegreePair(r, z), k=k, n=n, diameter_mode=mode, jobs=jobs)
     )
-
-
-def partitions_into_parts_at_least(n, smallest):
-    """Number of partitions of n into parts >= smallest."""
-    if n == 0:
-        return 1
-    return sum(partitions_into_parts_at_least(n - p, p) for p in range(smallest, n + 1))
 
 
 def undirected_networkx(g):
@@ -67,7 +60,7 @@ class TestSkeletons:
         assert len(regular_skeletons(7, 2)) == 2  # 7 and 3+4
         assert len(regular_skeletons(9, 2)) == 4  # 9, 3+6, 4+5, 3+3+3
         for n in range(1, 11):
-            assert len(regular_skeletons(n, 2)) == partitions_into_parts_at_least(n, 3), n
+            assert len(regular_skeletons(n, 2)) == len(list(partitions(n, 3))), n
 
     def test_r3_cubic_counts(self):
         assert len(regular_skeletons(4, 3)) == 1  # K4
@@ -146,7 +139,14 @@ class TestBruteForceAgreement:
         fixed = brute_force_class_counts(1, 1, n, 4, fixed_matching=True)
         assert full == fixed
 
-    @pytest.mark.parametrize("r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cycle_cover_wlog_is_harmless(self, n):
+        # one cycle cover per partition of n loses no class either
+        full = brute_force_class_counts(2, 1, n, 4, fixed_matching=False)
+        fixed = brute_force_class_counts(2, 1, n, 4, fixed_matching=True)
+        assert full == fixed
+
+    @pytest.mark.parametrize("r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_counts_match_oracle(self, r, z, n):
         oracle = brute_force_class_counts(r, z, n, 4, fixed_matching=True)
