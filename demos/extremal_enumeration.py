@@ -12,7 +12,7 @@ dp = DegreePair(1, 1)
 
 # The three extremal graphs with diameter exactly 3.
 res = enumerate_classes(SearchSpec(dp=dp, k=3, n=10))
-print(f"order 10, diameter 3: {len(res.classes)} isomorphism classes "
+print(f"order 10, diameter 3: {len(res.graphs)} isomorphism classes "
       f"({res.nodes_explored} search nodes, {res.wall_time:.1f}s)")
 for i, g in enumerate(res.graphs):
     print(f"  class {i}: edges {g.edges}")
@@ -20,7 +20,7 @@ for i, g in enumerate(res.graphs):
 
 # Order 11 would meet the raw Moore bound; it is infeasible.
 res11 = enumerate_classes(SearchSpec(dp=dp, k=3, n=11, diameter_mode=DiameterMode.AT_MOST))
-print("order 11:", len(res11.classes), "classes --", res11.infeasible_reason)
+print("order 11:", len(res11.graphs), "classes --", res11.infeasible_reason)
 
 # The largest feasible order, found by scanning down from the bound.
 best_n, _ = max_order(dp, 3)

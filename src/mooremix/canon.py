@@ -5,9 +5,11 @@ The refinement colors vertices by (edge degree, out-degree, in-degree) and
 iterates on neighborhood color multisets (edge / out-arc / in-arc kept
 separate).  Non-singleton cells are resolved by branching on the vertices of
 the first such cell, one per class of twins (vertices that a transposition
-automorphism swaps); the minimum relabeled adjacency encoding over all leaves
-is the canonical form, and the number of leaves attaining it is the
-automorphism group order.  Exponential in the worst case; for n up to ~24.
+automorphism swaps).  The least relabeled (edges, arcs) over all leaves is
+the canonical graph, and the number of leaves attaining it is the
+automorphism group order; `canonicalize` returns both, with the graph's
+byte encoding, in one `CanonicalForm`.  Exponential in the worst case; for
+n up to ~24.
 """
 
 from __future__ import annotations
@@ -16,25 +18,22 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceededError
+from .graph import MixedGraph
 
-__all__ = ["CanonicalForm", "CanonicalResult", "canonicalize"]
+__all__ = ["CanonicalForm", "canonicalize"]
 
 SIZE_CAP = 24
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A relabeling permutation and the byte encoding of the graph under it.
+    """The canonically labeled graph, its byte encoding and |Aut|.
 
-    Encodings are equal exactly for isomorphic mixed graphs."""
+    Isomorphic mixed graphs have equal canonical graphs and equal
+    encodings, and only they do."""
 
-    permutation: tuple[int, ...]  # old label -> canonical label
+    graph: MixedGraph
     encoding: bytes
-
-
-@dataclass(frozen=True)
-class CanonicalResult:
-    form: CanonicalForm
     automorphisms: int
 
 
@@ -79,13 +78,12 @@ def _first_nonsingleton_cell(colors, n):
     return None
 
 
-def canonicalize(g) -> CanonicalResult:
+def canonicalize(g) -> CanonicalForm:
     n = g.n
     if n > SIZE_CAP:
         raise SizeLimitExceededError(f"n={n} exceeds canonical-labeling cap {SIZE_CAP}")
     if n == 0:
-        form = CanonicalForm(permutation=(), encoding=b"0;;")
-        return CanonicalResult(form=form, automorphisms=1)
+        return CanonicalForm(graph=g, encoding=b"0;;", automorphisms=1)
 
     # twin[v]: the least u such that swapping u and v is an automorphism
     nbrs = [(set(g.edge_neighbors[v]), g.out_neighbors[v], g.in_neighbors[v]) for v in range(n)]
@@ -96,12 +94,12 @@ def canonicalize(g) -> CanonicalResult:
             twin[v] = u
 
     def descend(colors):
-        """(least leaf key, first leaf label attaining it, leaves attaining
-        it) over the subtree below `colors`."""
+        """(least leaf key, leaves attaining it) over the subtree below
+        `colors`."""
         colors = _refine(g, colors)
         cell = _first_nonsingleton_cell(colors, n)
         if cell is None:
-            return _encode_under(g, colors), colors, 1  # color index is the new label
+            return _encode_under(g, colors), 1  # color index is the new label
         done = {}
         for v in cell:
             # twins in one cell are swapped by an automorphism that fixes
@@ -112,10 +110,11 @@ def canonicalize(g) -> CanonicalResult:
                 rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
                 done[twin[v]] = descend(tuple(rank[s] for s in sigs))
         subs = [done[twin[v]] for v in cell]
-        key, label, _ = min(subs, key=lambda sub: sub[0])  # first of equal keys
-        return key, label, sum(count for k, _, count in subs if k == key)
+        key = min(key for key, _ in subs)
+        return key, sum(count for k, count in subs if k == key)
 
     # one refinement round splits uniform colors by (edge, out, in) degree
-    (edges, arcs), label, count = descend((0,) * n)
-    form = CanonicalForm(permutation=tuple(label), encoding=f"{n};{edges};{arcs}".encode())
-    return CanonicalResult(form=form, automorphisms=count)
+    (edges, arcs), count = descend((0,) * n)
+    # the least leaf key is g's sorted edges and arcs under that leaf's labeling
+    h = MixedGraph(n=n, edges=edges, arcs=arcs)
+    return CanonicalForm(graph=h, encoding=f"{n};{edges};{arcs}".encode(), automorphisms=count)

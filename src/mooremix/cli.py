@@ -67,18 +67,20 @@ def _cmd_search(args) -> int:
     dp = DegreePair(args.r, args.z)
     mode = DiameterMode.AT_MOST if args.mode == "at-most" else DiameterMode.EXACT
     spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode, jobs=args.jobs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # fail before the search, not after
+    out_dir = None if args.out is None else Path(args.out)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)  # fail before the search, not after
     res = enumerate_classes(spec)
-    print(f"classes={len(res.classes)}")
+    print(f"classes={len(res.graphs)}")
     if res.infeasible_reason:
         print(f"infeasible: {res.infeasible_reason}")
-    if not args.count_only:
-        for i, g in enumerate(res.graphs):
-            path = out_dir / f"{args.r}_{args.z}_k{args.k}_n{args.n}_{i}.mgf"
-            mgf.dump(g, path, comments=[f"class {i} of {len(res.graphs)}"])
+    if out_dir is None:
+        return 0
+    for i, g in enumerate(res.graphs):
+        path = out_dir / f"{args.r}_{args.z}_k{args.k}_n{args.n}_{i}.mgf"
+        mgf.dump(g, path, comments=[f"class {i} of {len(res.graphs)}"])
     log = {
-        "classes": len(res.classes),
+        "classes": len(res.graphs),
         "nodes_explored": res.nodes_explored,
         "pruned": res.pruned,
         "wall_time": res.wall_time,
@@ -170,9 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("-k", type=int, required=True)
     s.add_argument("-n", type=int, required=True)
     s.add_argument("--mode", choices=("exact", "at-most"), default="exact")
-    s.add_argument("--count-only", action="store_true")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--out", default=".")
+    s.add_argument("--out", help="directory for the MGF files and search_run_log.jsonl")
     s.set_defaults(func=_cmd_search)
 
     v = sub.add_parser("verify", help="check regularity, diameter and repeats of an MGF file")

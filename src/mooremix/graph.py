@@ -252,7 +252,7 @@ class MixedGraph:
         return canonicalize(self)
 
     def canonical_form(self):
-        return self._canon.form
+        return self._canon
 
     def automorphism_count(self) -> int:
         return self._canon.automorphisms

@@ -3,13 +3,13 @@ given order and diameter.
 
 Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
-parallel to an edge), filter by diameter, and reject isomorphs through the
-canonical form.  The same backtracker, stopped at vertex 2, splits the
-search into tasks: one per isomorphism class of partial graphs (skeleton
-plus the out-arcs of vertices 0 and 1).  The skeleton generator treats the
-vertices that no edge touches yet as interchangeable and offers only the
-first few of them, so for r = 0 it yields the edgeless graph and for r = 1
-only the perfect matching {2i, 2i+1}.
+parallel to an edge), filter by diameter, and keep the canonically labeled
+graph of each new canonical encoding.  The same backtracker, stopped at
+vertex 2, splits the search into tasks: one per isomorphism class of partial
+graphs (skeleton plus the out-arcs of vertices 0 and 1).  The skeleton
+generator treats the vertices that no edge touches yet as interchangeable
+and offers only the first few of them, so for r = 0 it yields the edgeless
+graph and for r = 1 only the perfect matching {2i, 2i+1}.
 """
 
 from __future__ import annotations
@@ -55,16 +55,12 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
-    classes: list  # CanonicalForm per isomorphism class, sorted by encoding
-    graphs: list  # canonical representatives (parallel to classes)
+    encodings: list  # canonical encoding per isomorphism class, sorted
+    graphs: list  # canonically labeled graph per class (parallel to encodings)
     nodes_explored: int = 0
     pruned: dict = field(default_factory=dict)
     wall_time: float = 0.0
     infeasible_reason: str | None = None
-
-    @property
-    def encodings(self) -> list[bytes]:
-        return [c.encoding for c in self.classes]
 
 
 def order_cap() -> int:
@@ -209,8 +205,7 @@ def _run_task(task):
             counters["reject_diameter"] += 1
             return
         form = g.canonical_form()
-        if form.encoding not in found:
-            found[form.encoding] = g.relabel(form.permutation)
+        found.setdefault(form.encoding, form.graph)
 
     _arc_backtrack(skeleton, z, k, prefix, counters, emit)
     return found, counters
@@ -227,7 +222,7 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         raise ValueError("need n >= 1 and k >= 0")
     r, z, n, k = spec.dp.r, spec.dp.z, spec.n, spec.k
 
-    result = SearchResult(classes=[], graphs=[])
+    result = SearchResult(encodings=[], graphs=[])
     if (r * n) % 2 == 1:
         result.infeasible_reason = f"parity: r={r} odd requires even order, got n={n}"
         result.wall_time = time.monotonic() - start
@@ -265,26 +260,21 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         for enc, g in found.items():
             merged.setdefault(enc, g)
 
-    graphs = [merged[enc] for enc in sorted(merged)]
-    result.classes = [g.canonical_form() for g in graphs]
-    result.graphs = graphs
+    result.encodings = sorted(merged)
+    result.graphs = [merged[enc] for enc in result.encodings]
     result.nodes_explored = counters.pop("nodes", 0)
     result.pruned = dict(counters)
     result.wall_time = time.monotonic() - start
     return result
 
 
-def max_order(
-    dp: DegreePair, k: int, n_hi: int | None = None, n_lo: int = 1, cap: int | None = None
-) -> tuple[int, SearchResult]:
-    """Largest order in [n_lo, n_hi] admitting an (r, z)-regular mixed graph
+def max_order(dp: DegreePair, k: int, n_hi: int | None = None) -> tuple[int, SearchResult]:
+    """Largest order in [1, n_hi] admitting an (r, z)-regular mixed graph
     of diameter <= k, with the enumeration at that order."""
     if n_hi is None:
         n_hi = improved_bound(dp, k).improved
-    for n in range(n_hi, n_lo - 1, -1):
-        res = enumerate_classes(
-            SearchSpec(dp=dp, k=k, n=n, diameter_mode=DiameterMode.AT_MOST), cap=cap
-        )
-        if res.classes:
+    for n in range(n_hi, 0, -1):
+        res = enumerate_classes(SearchSpec(dp=dp, k=k, n=n, diameter_mode=DiameterMode.AT_MOST))
+        if res.graphs:
             return n, res
-    return 0, SearchResult(classes=[], graphs=[], infeasible_reason="no order admits a graph")
+    return 0, SearchResult(encodings=[], graphs=[], infeasible_reason="no order admits a graph")

@@ -101,7 +101,7 @@ def test_criterion_05_proposition_3():
     one = enumerate_classes(SearchSpec(dp=DegreePair(1, 1), k=3, n=10, jobs=1))
     single_time = time.monotonic() - start
     four = enumerate_classes(SearchSpec(dp=DegreePair(1, 1), k=3, n=10, jobs=4))
-    assert len(one.classes) == 3
+    assert len(one.graphs) == 3
     assert one.encodings == four.encodings
     assert single_time <= 300.0
     print(f"ACCEPTANCE 5 PASS: 3 classes at (1,1,k=3,n=10) in {single_time:.1f}s; jobs 1 == jobs 4")
@@ -111,7 +111,7 @@ def test_criterion_06_bound_sharpness():
     res = enumerate_classes(
         SearchSpec(dp=DegreePair(1, 1), k=3, n=11, diameter_mode=DiameterMode.AT_MOST)
     )
-    assert res.classes == []
+    assert res.graphs == []
     print("ACCEPTANCE 6 PASS: no (1,1)-regular graph of order 11 with diameter <= 3")
 
 
@@ -156,7 +156,7 @@ def test_criterion_10_completeness_oracle():
                 res = enumerate_classes(
                     SearchSpec(dp=DegreePair(r, z), k=k, n=n, diameter_mode=DiameterMode.AT_MOST)
                 )
-                assert len(res.classes) == oracle[(k, "at-most")], (r, z, n, k)
+                assert len(res.graphs) == oracle[(k, "at-most")], (r, z, n, k)
                 checks += 1
     print(f"ACCEPTANCE 10 PASS: {checks} enumerations match the unpruned brute force")
 

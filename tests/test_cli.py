@@ -69,10 +69,17 @@ class TestSearch:
         log = (tmp_path / "search_run_log.jsonl").read_text().strip().splitlines()
         assert json.loads(log[0])["classes"] == 3
 
+    def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--mode", "at-most"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("classes=1")
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_order(self, tmp_path, capsys):
         rc = cli.main(
             ["search", "-r", "1", "-z", "1", "-k", "3", "-n", "11", "--mode", "at-most",
-             "--count-only", "--out", str(tmp_path)]
+             "--out", str(tmp_path)]
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith("classes=0")
@@ -80,7 +87,7 @@ class TestSearch:
     def test_n6_k2(self, tmp_path, capsys):
         rc = cli.main(
             ["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--mode", "at-most",
-             "--count-only", "--out", str(tmp_path)]
+             "--out", str(tmp_path)]
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith("classes=1")
@@ -158,8 +165,7 @@ class TestErrors:
             ["bound", "-r", "1", "-z", "1", "-k", "2000", "--closed-form"],
         ],
     )
-    def test_bad_value_exit_2(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # search writes into the cwd by default
+    def test_bad_value_exit_2(self, argv, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -174,8 +180,7 @@ class TestErrors:
         target = tmp_path / "taken.txt"
         target.write_text("keep\n")
         rc = cli.main(
-            ["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--count-only",
-             "--out", str(target)]
+            ["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--out", str(target)]
         )
         assert rc == 2
         captured = capsys.readouterr()

@@ -219,6 +219,16 @@ class TestCanonicalForm:
         assert g.canonical_form().encoding == h.canonical_form().encoding
         assert is_isomorphic(g, h)
 
+    @given(mixed_graphs(max_n=6))
+    @settings(max_examples=40)
+    def test_canonical_graph_is_a_fixed_relabeling(self, g):
+        form = g.canonical_form()
+        h = form.graph
+        assert h.canonical_form().graph == h
+        assert h.canonical_form().encoding == form.encoding
+        assert h.automorphism_count() == g.automorphism_count()
+        assert any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
+
     def test_distinguishes_golden_classes(self):
         a, b, c = golden_graphs()
         assert not is_isomorphic(a, b)

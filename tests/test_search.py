@@ -91,23 +91,23 @@ class TestSkeletons:
 class TestEnumerate:
     def test_three_extremal_classes(self):
         res = run(1, 1, 3, 10)
-        assert len(res.classes) == 3
+        assert len(res.graphs) == 3
         for g in res.graphs:
             assert g.total_regularity() == DegreePair(1, 1)
             assert g.diameter() == 3
 
     def test_order_11_empty(self):
         res = run(1, 1, 3, 11, mode=DiameterMode.AT_MOST)
-        assert res.classes == []
+        assert res.graphs == []
         assert res.infeasible_reason is not None
 
     def test_n6_k2_unique(self):
         res = run(1, 1, 2, 6, mode=DiameterMode.AT_MOST)
-        assert len(res.classes) == 1
+        assert len(res.graphs) == 1
 
     def test_undirected_5_cycle(self):
         res = run(2, 0, 2, 5)
-        assert len(res.classes) == 1
+        assert len(res.graphs) == 1
         assert res.graphs[0].edges == ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4))
 
     def test_soundness(self):
@@ -120,6 +120,14 @@ class TestEnumerate:
         a = run(1, 1, 3, 10, jobs=1)
         b = run(1, 1, 3, 10, jobs=4)
         assert a.encodings == b.encodings
+
+    @pytest.mark.parametrize("r,z,k,n", [(1, 1, 3, 10), (2, 1, 2, 8), (1, 2, 2, 6)])
+    def test_graphs_are_canonical(self, r, z, k, n):
+        res = run(r, z, k, n)
+        assert res.graphs and len(res.graphs) == len(res.encodings)
+        for g, enc in zip(res.graphs, res.encodings):
+            assert g.canonical_form().graph == g
+            assert g.canonical_form().encoding == enc
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -152,7 +160,7 @@ class TestBruteForceAgreement:
         oracle = brute_force_class_counts(r, z, n, 4, fixed_matching=True)
         for k in range(5):
             for mode in (DiameterMode.EXACT, DiameterMode.AT_MOST):
-                got = len(run(r, z, k, n, mode=mode).classes)
+                got = len(run(r, z, k, n, mode=mode).graphs)
                 assert got == oracle[(k, mode.value)], (r, z, n, k, mode)
 
 
@@ -166,11 +174,11 @@ class TestMaxOrder:
     def test_petersen_witness(self):
         # the Moore bound M(3,0,2) = 10 is attained by the Petersen graph alone
         n, res = max_order(DegreePair(3, 0), 2)
-        assert n == 10 and len(res.classes) == 1
+        assert n == 10 and len(res.graphs) == 1
         (g,) = res.graphs
         assert nx.is_isomorphic(undirected_networkx(g), nx.petersen_graph())
         assert g.automorphism_count() == 120
 
     def test_result_attached(self):
         n, res = max_order(DegreePair(1, 1), 2)
-        assert n == 6 and len(res.classes) == 1
+        assert n == 6 and len(res.graphs) == 1
