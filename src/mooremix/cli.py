@@ -66,7 +66,7 @@ def _cmd_table(args) -> int:
 def _cmd_search(args) -> int:
     dp = DegreePair(args.r, args.z)
     mode = DiameterMode.AT_MOST if args.mode == "at-most" else DiameterMode.EXACT
-    spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode, jobs=args.jobs)
+    spec = SearchSpec(dp=dp, k=args.k, n=args.n, diameter_mode=mode)
     out_dir = None if args.out is None else Path(args.out)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)  # fail before the search, not after
@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("-k", type=int, required=True)
     s.add_argument("-n", type=int, required=True)
     s.add_argument("--mode", choices=("exact", "at-most"), default="exact")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out", help="directory for the MGF files and search_run_log.jsonl")
     s.set_defaults(func=_cmd_search)
 

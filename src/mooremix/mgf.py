@@ -32,12 +32,13 @@ def loads(text: str) -> MixedGraph:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "mgf 1":
         raise MgfFormatError("missing or bad header (expected 'mgf 1')")
-    if len(lines) < 2 or not lines[1].startswith("n "):
-        raise MgfFormatError("missing vertex-count line")
+    head = lines[1].split(" ") if len(lines) > 1 else []
+    if len(head) != 2 or head[0] != "n":
+        raise MgfFormatError("missing or bad vertex-count line (expected 'n <N>')")
     try:
-        n = int(lines[1].split(" ")[1])
-    except (IndexError, ValueError) as exc:
-        raise MgfFormatError("bad vertex-count line") from exc
+        n = int(head[1])
+    except ValueError as exc:
+        raise MgfFormatError(f"bad vertex-count line: {lines[1]!r}") from exc
     edges, arcs = [], []
     for ln in lines[2:]:
         parts = ln.split(" ")

@@ -4,12 +4,12 @@ given order and diameter.
 Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge), filter by diameter, and keep the canonically labeled
-graph of each new canonical encoding.  The same backtracker, stopped at
-vertex 2, splits the search into tasks: one per isomorphism class of partial
-graphs (skeleton plus the out-arcs of vertices 0 and 1).  The skeleton
-generator treats the vertices that no edge touches yet as interchangeable
-and offers only the first few of them, so for r = 0 it yields the edgeless
-graph and for r = 1 only the perfect matching {2i, 2i+1}.
+graph of each new canonical encoding.  On reaching vertex 2 the backtracker
+goes on only from the first partial graph (skeleton plus the out-arcs of
+vertices 0 and 1) of each isomorphism class.  The skeleton generator treats
+the vertices that no edge touches yet as interchangeable and offers only the
+first few of them, so for r = 0 it yields the edgeless graph and for r = 1
+only the perfect matching {2i, 2i+1}.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from multiprocessing import Pool
 
 from .bounds import DegreePair, improved_bound
 from .errors import CapExceededError
@@ -50,7 +49,13 @@ class SearchSpec:
     k: int
     n: int
     diameter_mode: DiameterMode = DiameterMode.EXACT
+    # the search runs in one process; kept only while bench/workloads.py
+    # passes jobs=1
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}")
 
 
 @dataclass
@@ -118,18 +123,19 @@ def _graph(skeleton, out):
     return MixedGraph(n=skeleton.n, edges=skeleton.edges, arcs=arcs)
 
 
-def _arc_backtrack(skeleton, z, k, prefix, counters, emit, stop=None):
-    """Extend the out-tuples `prefix` of vertices 0..len(prefix)-1 of
-    `skeleton` in all feasible ways: z out-arcs and at most z in-arcs per
-    vertex (so exactly z at vertex n), no digon, no arc along an edge.  On
-    reaching vertex `stop` or n, call emit(tuple of sorted out-tuples)."""
+def _arc_backtrack(skeleton, z, k, mode, found, counters):
+    """Give each vertex of `skeleton` z out-arcs, vertex by vertex, in all
+    feasible ways: at most z in-arcs per vertex (so exactly z at the end),
+    no digon, no arc along an edge.  Store each completed graph whose
+    diameter suits `mode` as found[encoding] = canonically labeled graph,
+    unless the encoding is already there; count nodes, prunes and diameter
+    rejections in `counters`."""
     n = skeleton.n
     edge_nbrs = [set(x) for x in skeleton.edge_neighbors]
-    out = list(prefix)
+    out = []
     indeg = [0] * n
-    for v, targets in enumerate(out):
-        for w in targets:
-            indeg[w] += 1
+    prefixes = set()
+    prefix_end = min(2, n)
 
     def ball_prune(settled):
         # optimistic reach of vertex 0: prune only when its k-ball is fully
@@ -151,8 +157,26 @@ def _arc_backtrack(skeleton, z, k, prefix, counters, emit, stop=None):
         return len(depth) < n
 
     def rec(v):
-        if v == stop or v == n:
-            emit(tuple(out))
+        if v == prefix_end:
+            # extend only the first prefix (the out-arcs of vertices 0 and 1)
+            # of each isomorphism class of prefix graphs (the skeleton plus
+            # those arcs).  For z >= 1 only vertices 0 and 1 have out-arcs
+            # there, so an isomorphism of prefix graphs fixes {0, 1} and the
+            # skeleton and maps each completion of one prefix onto one of the
+            # other; for z = 0 the one prefix is empty.  The ball and deficit
+            # prunes drop only graphs that cannot qualify.
+            encoding = _graph(skeleton, out).canonical_form().encoding
+            if encoding in prefixes:
+                return
+            prefixes.add(encoding)
+        if v == n:
+            g = _graph(skeleton, out)
+            diam = g.diameter(limit=k)
+            if diam is UNREACHABLE or (mode is DiameterMode.EXACT and diam != k):
+                counters["reject_diameter"] += 1
+                return
+            form = g.canonical_form()
+            found.setdefault(form.encoding, form.graph)
             return
         counters["nodes"] += 1
         # each missing in-arc of w must come from an eligible source in v..n-1
@@ -176,7 +200,7 @@ def _arc_backtrack(skeleton, z, k, prefix, counters, emit, stop=None):
             if w != v
             and indeg[w] < z
             and w not in edge_nbrs[v]
-            and (w >= len(out) or v not in out[w])
+            and (w > v or v not in out[w])
         ]
         for combo in itertools.combinations(candidates, z):
             out.append(combo)
@@ -190,82 +214,37 @@ def _arc_backtrack(skeleton, z, k, prefix, counters, emit, stop=None):
             for w in combo:
                 indeg[w] -= 1
 
-    rec(len(out))
-
-
-def _run_task(task):
-    skeleton, z, k, prefix, mode = task
-    counters = Counter()
-    found = {}
-
-    def emit(out):
-        g = _graph(skeleton, out)
-        diam = g.diameter(limit=k)
-        if diam is UNREACHABLE or (mode is DiameterMode.EXACT and diam != k):
-            counters["reject_diameter"] += 1
-            return
-        form = g.canonical_form()
-        found.setdefault(form.encoding, form.graph)
-
-    _arc_backtrack(skeleton, z, k, prefix, counters, emit)
-    return found, counters
+    rec(0)
 
 
 def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
     """All isomorphism classes of strict (r, z)-regular mixed graphs with
     the requested order and diameter."""
     start = time.monotonic()
+    if spec.n < 1 or spec.k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
     cap = order_cap() if cap is None else cap
     if spec.n > cap:
         raise CapExceededError(f"n={spec.n} exceeds order cap {cap}")
-    if spec.n < 1 or spec.k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
     r, z, n, k = spec.dp.r, spec.dp.z, spec.n, spec.k
 
-    result = SearchResult(encodings=[], graphs=[])
+    found, counters, reason = {}, Counter(), None
     if (r * n) % 2 == 1:
-        result.infeasible_reason = f"parity: r={r} odd requires even order, got n={n}"
-        result.wall_time = time.monotonic() - start
-        return result
-    if r >= n or z > n - 1 - r:
-        result.infeasible_reason = f"degree obstruction: (r, z)=({r}, {z}) impossible at n={n}"
-        result.wall_time = time.monotonic() - start
-        return result
-
-    counters = Counter()
-    tasks = []
-    for sk in regular_skeletons(n, r):
-        # one task per isomorphism class of prefix graphs (the skeleton plus
-        # the out-arcs of vertices 0 and 1; n >= 2 here), the first prefix in
-        # the backtracker's order.  For z >= 1 only vertices 0 and 1 have
-        # out-arcs there, so an isomorphism of prefix graphs fixes {0, 1} and
-        # the skeleton and maps each completion of one prefix onto one of the
-        # other; for z = 0 the one prefix is empty.  The ball and deficit
-        # prunes drop only graphs that cannot qualify.
-        prefixes = []
-        _arc_backtrack(sk, z, k, (), counters, prefixes.append, stop=2)
-        kept = {}
-        for p in prefixes:
-            kept.setdefault(_graph(sk, p).canonical_form().encoding, p)
-        tasks += [(sk, z, k, p, spec.diameter_mode) for p in kept.values()]
-
-    merged = {}
-    if spec.jobs > 1 and len(tasks) > 1:
-        with Pool(spec.jobs) as pool:
-            outputs = pool.map(_run_task, tasks)
+        reason = f"parity: r={r} odd requires even order, got n={n}"
+    elif r >= n or z > n - 1 - r:
+        reason = f"degree obstruction: (r, z)=({r}, {z}) impossible at n={n}"
     else:
-        outputs = [_run_task(t) for t in tasks]
-    for found, cnt in outputs:
-        counters.update(cnt)
-        for enc, g in found.items():
-            merged.setdefault(enc, g)
-
-    result.encodings = sorted(merged)
-    result.graphs = [merged[enc] for enc in result.encodings]
-    result.nodes_explored = counters.pop("nodes", 0)
-    result.pruned = dict(counters)
-    result.wall_time = time.monotonic() - start
-    return result
+        for sk in regular_skeletons(n, r):
+            _arc_backtrack(sk, z, k, spec.diameter_mode, found, counters)
+    encodings = sorted(found)
+    return SearchResult(
+        encodings=encodings,
+        graphs=[found[enc] for enc in encodings],
+        nodes_explored=counters.pop("nodes", 0),
+        pruned=dict(counters),
+        wall_time=time.monotonic() - start,
+        infeasible_reason=reason,
+    )
 
 
 def max_order(dp: DegreePair, k: int, n_hi: int | None = None) -> tuple[int, SearchResult]:

@@ -163,12 +163,18 @@ class TestErrors:
             ["search", "-r", "1", "-z", "1", "-k", "3", "-n", "0"],
             ["table", "--dmax", "0"],
             ["bound", "-r", "1", "-z", "1", "-k", "2000", "--closed-form"],
+            ["search", "-r", "1", "-z", "1", "-k", "-1", "-n", "30"],
         ],
     )
     def test_bad_value_exit_2(self, argv, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_jobs_flag_gone_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "-r", "1", "-z", "1", "-k", "2", "-n", "6", "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_bad_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOORE_SEARCH_CAP", "abc")

@@ -294,6 +294,11 @@ class TestMgf:
         with pytest.raises(MgfFormatError):
             mgf.loads("nope\n")
 
+    @pytest.mark.parametrize("text", ["mgf 1\nn 3 junk\ne 0 1\n", "mgf 1\nn\n", "mgf 1\nm 3\n"])
+    def test_bad_vertex_count_line(self, text):
+        with pytest.raises(MgfFormatError):
+            mgf.loads(text)
+
     def test_bad_edge_order(self):
         with pytest.raises(MgfFormatError):
             mgf.loads("mgf 1\nn 2\ne 1 0\n")

@@ -1,15 +1,21 @@
 import itertools
+import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import mooremix
 from mooremix.bounds import DegreePair
 from mooremix.errors import CapExceededError
 from mooremix.graph import is_isomorphic
 from mooremix.search import (
     DiameterMode,
     SearchSpec,
+    _arc_backtrack,
     enumerate_classes,
     max_order,
     regular_skeletons,
@@ -18,10 +24,8 @@ from mooremix.search import (
 from oracles import brute_force_class_counts, partitions
 
 
-def run(r, z, k, n, mode=DiameterMode.EXACT, jobs=1):
-    return enumerate_classes(
-        SearchSpec(dp=DegreePair(r, z), k=k, n=n, diameter_mode=mode, jobs=jobs)
-    )
+def run(r, z, k, n, mode=DiameterMode.EXACT):
+    return enumerate_classes(SearchSpec(dp=DegreePair(r, z), k=k, n=n, diameter_mode=mode))
 
 
 def undirected_networkx(g):
@@ -116,10 +120,17 @@ class TestEnumerate:
             d = g.diameter()
             assert d is not None and d <= 3
 
-    def test_determinism_across_jobs(self):
-        a = run(1, 1, 3, 10, jobs=1)
-        b = run(1, 1, 3, 10, jobs=4)
-        assert a.encodings == b.encodings
+    def test_jobs_other_than_1_rejected(self):
+        with pytest.raises(ValueError):
+            SearchSpec(dp=DegreePair(1, 1), k=3, n=10, jobs=2)
+
+    def test_import_leaves_out_multiprocessing(self):
+        src = str(Path(mooremix.__file__).parents[1])
+        code = "import sys, mooremix; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("r,z,k,n", [(1, 1, 3, 10), (2, 1, 2, 8), (1, 2, 2, 6)])
     def test_graphs_are_canonical(self, r, z, k, n):
@@ -162,6 +173,33 @@ class TestBruteForceAgreement:
             for mode in (DiameterMode.EXACT, DiameterMode.AT_MOST):
                 got = len(run(r, z, k, n, mode=mode).graphs)
                 assert got == oracle[(k, mode.value)], (r, z, n, k, mode)
+
+
+class TestRelabelingInvariance:
+    """The prefix rule keeps the first prefix of each class in the
+    backtracker's order, which depends on the skeleton's labels; relabeling
+    the skeletons must not change the classes found."""
+
+    @pytest.mark.parametrize(
+        "r,z,k,n,mode",
+        [
+            (1, 1, 3, 10, DiameterMode.EXACT),
+            (2, 1, 2, 8, DiameterMode.EXACT),
+            (1, 2, 2, 6, DiameterMode.EXACT),
+            (1, 1, 3, 8, DiameterMode.AT_MOST),
+        ],
+    )
+    def test_same_classes_on_relabeled_skeletons(self, r, z, k, n, mode):
+        expected = run(r, z, k, n, mode=mode).encodings
+        assert expected
+        rng = random.Random(f"{r},{z},{k},{n}")
+        for _ in range(3):
+            found = {}
+            for sk in regular_skeletons(n, r):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                _arc_backtrack(sk.relabel(perm), z, k, mode, found, Counter())
+            assert sorted(found) == expected
 
 
 class TestMaxOrder:
