@@ -28,6 +28,13 @@ def dumps(g: MixedGraph, comments: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _natural(field: str, error: str) -> int:
+    # int() would also accept signs, underscores and non-ASCII digits
+    if not (field.isascii() and field.isdigit()):
+        raise MgfFormatError(error)
+    return int(field)
+
+
 def loads(text: str) -> MixedGraph:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "mgf 1":
@@ -35,19 +42,13 @@ def loads(text: str) -> MixedGraph:
     head = lines[1].split(" ") if len(lines) > 1 else []
     if len(head) != 2 or head[0] != "n":
         raise MgfFormatError("missing or bad vertex-count line (expected 'n <N>')")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise MgfFormatError(f"bad vertex-count line: {lines[1]!r}") from exc
+    n = _natural(head[1], f"bad vertex-count line: {lines[1]!r}")
     edges, arcs = [], []
     for ln in lines[2:]:
         parts = ln.split(" ")
         if len(parts) != 3 or parts[0] not in ("e", "a"):
             raise MgfFormatError(f"bad line: {ln!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise MgfFormatError(f"bad line: {ln!r}") from exc
+        u, v = (_natural(field, f"bad line: {ln!r}") for field in parts[1:])
         if parts[0] == "e":
             if u >= v:
                 raise MgfFormatError(f"edge must have u < v: {ln!r}")

@@ -129,32 +129,42 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
     no digon, no arc along an edge.  Store each completed graph whose
     diameter suits `mode` as found[encoding] = canonically labeled graph,
     unless the encoding is already there; count nodes, prunes and diameter
-    rejections in `counters`."""
+    rejections in `counters`.
+
+    Vertex sets are int bitmasks: step[v] holds the vertices one step from
+    v known so far (its edge neighbours, plus its out-arcs once v is
+    settled, i.e. has its arcs) and into[w] the settled vertices with an
+    arc to w.  After each vertex is settled, the k-ball of every settled
+    vertex is grown by OR-ing step masks; a ball with no open vertex within
+    distance k - 1 of its centre is final, and if it misses a vertex the
+    branch is pruned, since diameter <= k (and = k) needs every k-ball to
+    hold all n vertices."""
     n = skeleton.n
-    edge_nbrs = [set(x) for x in skeleton.edge_neighbors]
+    full = (1 << n) - 1
+    step = [sum(1 << w for w in nbrs) for nbrs in skeleton.edge_neighbors]
+    into = [0] * n
     out = []
     indeg = [0] * n
     prefixes = set()
     prefix_end = min(2, n)
 
     def ball_prune(settled):
-        # optimistic reach of vertex 0: prune only when its k-ball is fully
-        # settled (no unknown out-arcs inside at depth < k) yet misses vertices
-        frontier = [0]
-        depth = {0: 0}
-        for d in range(k):
-            nxt = []
-            for v in frontier:
-                if v >= settled:
-                    return False  # open vertex inside the ball: inconclusive
-                for w in itertools.chain(edge_nbrs[v], out[v]):
-                    if w not in depth:
-                        depth[w] = d + 1
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        return len(depth) < n
+        for u in range(settled):
+            ball = frontier = 1 << u
+            for _ in range(k):
+                if ball == full or frontier >> settled:
+                    break  # full, or an open vertex inside: nothing to prune
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= step[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~ball
+                ball |= reach
+            else:
+                if ball != full:
+                    return True
+        return False
 
     def rec(v):
         if v == prefix_end:
@@ -179,33 +189,25 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
             found.setdefault(form.encoding, form.graph)
             return
         counters["nodes"] += 1
-        # each missing in-arc of w must come from an eligible source in v..n-1
+        # each missing in-arc of w must come from a vertex in v..n-1 that is
+        # not w, not an edge neighbour of w and not an out-neighbour of w
+        sources = full >> v << v
         for w in range(n):
             miss = z - indeg[w]
-            if miss <= 0:
-                continue
-            avail = 0
-            for u in range(v, n):
-                if u == w or u in edge_nbrs[w]:
-                    continue
-                if w < v and u in out[w]:
-                    continue  # would close a digon
-                avail += 1
-            if miss > avail:
+            if miss > 0 and miss > (sources & ~(step[w] | 1 << w)).bit_count():
                 counters["prune_deficit"] += 1
                 return
-        candidates = [
-            w
-            for w in range(n)
-            if w != v
-            and indeg[w] < z
-            and w not in edge_nbrs[v]
-            and (w > v or v not in out[w])
-        ]
+        edges, bit = step[v], 1 << v
+        free = full & ~(edges | bit | into[v])
+        candidates = [w for w in range(n) if free >> w & 1 and indeg[w] < z]
         for combo in itertools.combinations(candidates, z):
             out.append(combo)
+            arcs = 0
             for w in combo:
+                arcs |= 1 << w
                 indeg[w] += 1
+                into[w] |= bit
+            step[v] = edges | arcs
             if ball_prune(v + 1):
                 counters["prune_ball"] += 1
             else:
@@ -213,6 +215,8 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
             out.pop()
             for w in combo:
                 indeg[w] -= 1
+                into[w] ^= bit
+        step[v] = edges
 
     rec(0)
 

@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mooremix import cli, mgf
 from mooremix.constructions import golden_path
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    # the child imports mooremix from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mooremix.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "mooremix.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -116,6 +123,14 @@ class TestVerify:
     def test_malformed_exit_5(self, tmp_path):
         path = tmp_path / "bad.mgf"
         path.write_text("not an mgf\n")
+        assert cli.main(["verify", str(path), "-k", "3"]) == 5
+
+    @pytest.mark.parametrize(
+        "text", ["mgf 1\nn 1_0\ne 0 +1\na \u0663 4\n", "mgf 1\nn -0\n", "mgf 1\nn 3\ne 0 +1\n"]
+    )
+    def test_numbers_not_in_ascii_digits_exit_5(self, tmp_path, text):
+        path = tmp_path / "bad.mgf"
+        path.write_text(text, encoding="utf-8")
         assert cli.main(["verify", str(path), "-k", "3"]) == 5
 
 

@@ -299,6 +299,21 @@ class TestMgf:
         with pytest.raises(MgfFormatError):
             mgf.loads(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mgf 1\nn 1_0\ne 0 +1\na \u0663 4\n",
+            "mgf 1\nn -0\n",
+            "mgf 1\nn +3\n",
+            "mgf 1\nn 3\ne 0 +1\n",
+            "mgf 1\nn 3\ne 0 1_0\n",
+            "mgf 1\nn 5\na \u0663 4\n",
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, text):
+        with pytest.raises(MgfFormatError):
+            mgf.loads(text)
+
     def test_bad_edge_order(self):
         with pytest.raises(MgfFormatError):
             mgf.loads("mgf 1\nn 2\ne 1 0\n")

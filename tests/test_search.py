@@ -144,6 +144,15 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             run(1, 1, 3, 17)
 
+    @pytest.mark.parametrize("r,z,k,n,budget", [(1, 1, 3, 12, 50_000), (2, 1, 2, 11, 20_000)])
+    def test_empty_search_node_budget(self, r, z, k, n, budget):
+        # with every settled vertex's k-ball closed these searches take about
+        # 20,000 and 5,000 nodes (357,620 and 87,743 with vertex 0's ball
+        # alone); the budget guards that gain without pinning the count
+        res = run(r, z, k, n, mode=DiameterMode.AT_MOST)
+        assert res.graphs == []
+        assert res.nodes_explored < budget
+
     def test_theorem1_invariant_on_emitted(self):
         for n in (8, 10):
             for g in run(1, 1, 3, n, mode=DiameterMode.AT_MOST).graphs:
@@ -175,6 +184,19 @@ class TestBruteForceAgreement:
                 assert got == oracle[(k, mode.value)], (r, z, n, k, mode)
 
 
+class TestBallPrune:
+    @pytest.mark.parametrize(
+        "r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (3, 0), (0, 3), (2, 2), (3, 1)]
+    )
+    def test_no_leaf_fails_the_diameter_filter_in_at_most_mode(self, r, z):
+        # once every vertex is settled the ball prune has checked that every
+        # k-ball holds all n vertices, which is diameter <= k
+        for n in range(1, 8):
+            for k in range(5):
+                res = run(r, z, k, n, mode=DiameterMode.AT_MOST)
+                assert res.pruned.get("reject_diameter", 0) == 0, (r, z, k, n)
+
+
 class TestRelabelingInvariance:
     """The prefix rule keeps the first prefix of each class in the
     backtracker's order, which depends on the skeleton's labels; relabeling
@@ -185,6 +207,7 @@ class TestRelabelingInvariance:
         [
             (1, 1, 3, 10, DiameterMode.EXACT),
             (2, 1, 2, 8, DiameterMode.EXACT),
+            (2, 1, 2, 10, DiameterMode.EXACT),
             (1, 2, 2, 6, DiameterMode.EXACT),
             (1, 1, 3, 8, DiameterMode.AT_MOST),
         ],
