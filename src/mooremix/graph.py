@@ -162,18 +162,10 @@ class MixedGraph:
     def distances(self) -> list[list]:
         return [self.distances_from(u) for u in range(self.n)]
 
-    def diameter(self, limit: int | None = None):
-        """Max distance over ordered pairs; UNREACHABLE if disconnected or,
-        given `limit`, as soon as some distance exceeds it."""
-        bound = self.n if limit is None else limit
-        diam = 0
-        for u in range(self.n):
-            for d in self.distances_from(u):
-                if d is UNREACHABLE or d > bound:
-                    return UNREACHABLE
-                if d > diam:
-                    diam = d
-        return diam
+    def diameter(self):
+        """Max distance over ordered pairs; UNREACHABLE if disconnected."""
+        dists = [d for row in self.distances() for d in row]
+        return UNREACHABLE if UNREACHABLE in dists else max(dists, default=0)
 
     def layers(self, u: int) -> list[list[int]]:
         """Reachable vertices partitioned by distance from u."""

@@ -62,10 +62,13 @@ def loads(text: str) -> MixedGraph:
 
 
 def dump(g: MixedGraph, path, comments: list[str] | None = None) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(dumps(g, comments=comments))
 
 
 def load(path) -> MixedGraph:
-    with open(path) as f:
-        return loads(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            return loads(f.read())
+    except UnicodeDecodeError as exc:
+        raise MgfFormatError(f"not UTF-8 text: {exc}") from exc

@@ -3,13 +3,13 @@ given order and diameter.
 
 Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
-parallel to an edge), filter by diameter, and keep the canonically labeled
-graph of each new canonical encoding.  On reaching vertex 2 the backtracker
-goes on only from the first partial graph (skeleton plus the out-arcs of
-vertices 0 and 1) of each isomorphism class.  The skeleton generator treats
-the vertices that no edge touches yet as interchangeable and offers only the
-first few of them, so for r = 0 it yields the edgeless graph and for r = 1
-only the perfect matching {2i, 2i+1}.
+parallel to an edge) whose bitset k-balls alone decide the diameter, and
+keep the canonically labeled graph of each new canonical encoding.  On
+reaching vertex 2 it goes on only from the first partial graph (skeleton
+plus the out-arcs of vertices 0 and 1) of each isomorphism class.  The
+skeleton generator treats the vertices that no edge touches yet as
+interchangeable and offers only the first few of them, so for r = 0 it
+yields the edgeless graph and for r = 1 only the matching {2i, 2i+1}.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 
 from .bounds import DegreePair, improved_bound
 from .errors import CapExceededError
-from .graph import UNREACHABLE, MixedGraph
+from .graph import MixedGraph
 
 __all__ = [
     "DiameterMode",
@@ -137,8 +137,9 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
     arc to w.  After each vertex is settled, the k-ball of every settled
     vertex is grown by OR-ing step masks; a ball with no open vertex within
     distance k - 1 of its centre is final, and if it misses a vertex the
-    branch is pruned, since diameter <= k (and = k) needs every k-ball to
-    hold all n vertices."""
+    branch is pruned, since diameter <= k needs every k-ball to hold all n
+    vertices.  So a completed graph has diameter <= k; exact mode keeps it
+    only if some (k - 1)-ball misses a vertex, and no BFS runs."""
     n = skeleton.n
     full = (1 << n) - 1
     step = [sum(1 << w for w in nbrs) for nbrs in skeleton.edge_neighbors]
@@ -148,10 +149,10 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
     prefixes = set()
     prefix_end = min(2, n)
 
-    def ball_prune(settled):
+    def ball_prune(settled, radius):
         for u in range(settled):
             ball = frontier = 1 << u
-            for _ in range(k):
+            for _ in range(radius):
                 if ball == full or frontier >> settled:
                     break  # full, or an open vertex inside: nothing to prune
                 reach = 0
@@ -180,12 +181,12 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
                 return
             prefixes.add(encoding)
         if v == n:
-            g = _graph(skeleton, out)
-            diam = g.diameter(limit=k)
-            if diam is UNREACHABLE or (mode is DiameterMode.EXACT and diam != k):
+            # the last ball prune found every k-ball full: diameter <= k.
+            # Exact mode also needs diameter > k - 1 (always so for k = 0)
+            if mode is DiameterMode.EXACT and k and not ball_prune(n, k - 1):
                 counters["reject_diameter"] += 1
                 return
-            form = g.canonical_form()
+            form = _graph(skeleton, out).canonical_form()
             found.setdefault(form.encoding, form.graph)
             return
         counters["nodes"] += 1
@@ -208,7 +209,7 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
                 indeg[w] += 1
                 into[w] |= bit
             step[v] = edges | arcs
-            if ball_prune(v + 1):
+            if ball_prune(v + 1, k):
                 counters["prune_ball"] += 1
             else:
                 rec(v + 1)

@@ -123,6 +123,17 @@ def _out_assignments(n, z, nbrs):
             yield tuple(sorted((v, w) for v in range(n) for w in outs[v]))
 
 
+def kautz(d: int) -> MixedGraph:
+    """The Kautz digraph K(d, 2) as a mixed graph: its vertices are the words
+    ab over the letters 0..d with a != b, ab -> bc for every letter c != b,
+    and each digon ab <-> ba is read as an edge."""
+    words = [(a, b) for a in range(d + 1) for b in range(d + 1) if a != b]
+    index = {w: i for i, w in enumerate(words)}
+    edges = [(index[(a, b)], index[(b, a)]) for a, b in words if a < b]
+    arcs = [(index[(a, b)], index[(b, c)]) for a, b in words for c in range(d + 1) if c not in (a, b)]
+    return MixedGraph.build(len(words), edges, arcs)
+
+
 def partitions(n: int, smallest: int):
     """Partitions of n into parts >= smallest, as non-decreasing lists."""
     if n == 0:

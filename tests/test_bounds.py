@@ -20,6 +20,8 @@ from mooremix.constructions import cayley_dihedral, cycle, line_digraph_of_cycle
 from mooremix.errors import DegenerateParametersError
 from mooremix.search import max_order
 
+from oracles import kautz
+
 DEGENERATE = {(0, 1), (2, 0)}
 
 
@@ -204,6 +206,12 @@ class TestWitnesses:
         # m = 5 gives order 10 at diameter 3, where the bound is tight
         for g in (cayley_dihedral(5), line_digraph_of_cycle_digons(5)):
             assert g.n == improved_bound(g.total_regularity(), g.diameter()).improved == 10
+        # the Kautz digraph K(d, 2) is a mixed Moore graph of diameter 2
+        for d in (2, 3, 4):
+            g = kautz(d)
+            dp = DegreePair(1, d - 1)
+            assert g.total_regularity() == dp and g.diameter() == 2
+            assert g.n == d * d + d == moore_bound(dp, 2) == improved_bound(dp, 2).improved
 
     @pytest.mark.parametrize(
         "r,z,k,expected",

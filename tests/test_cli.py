@@ -126,11 +126,19 @@ class TestVerify:
         assert cli.main(["verify", str(path), "-k", "3"]) == 5
 
     @pytest.mark.parametrize(
-        "text", ["mgf 1\nn 1_0\ne 0 +1\na \u0663 4\n", "mgf 1\nn -0\n", "mgf 1\nn 3\ne 0 +1\n"]
+        "data",
+        [
+            "mgf 1\nn 1_0\ne 0 +1\na \u0663 4\n".encode("utf-8"),
+            b"mgf 1\nn -0\n",
+            b"mgf 1\nn 3\ne 0 +1\n",
+            b"mgf 1\nn \xff\n",  # not UTF-8
+        ],
+        # the ids these cases had as text
+        ids=lambda data: data.decode("utf-8", "backslashreplace"),
     )
-    def test_numbers_not_in_ascii_digits_exit_5(self, tmp_path, text):
+    def test_numbers_not_in_ascii_digits_exit_5(self, tmp_path, data):
         path = tmp_path / "bad.mgf"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         assert cli.main(["verify", str(path), "-k", "3"]) == 5
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import subprocess
@@ -21,11 +22,14 @@ from mooremix.search import (
     regular_skeletons,
 )
 
-from oracles import brute_force_class_counts, partitions
+from oracles import brute_force_class_counts, kautz, partitions
 
 
 def run(r, z, k, n, mode=DiameterMode.EXACT):
     return enumerate_classes(SearchSpec(dp=DegreePair(r, z), k=k, n=n, diameter_mode=mode))
+
+
+cached_run = functools.cache(run)
 
 
 def undirected_networkx(g):
@@ -108,6 +112,7 @@ class TestEnumerate:
     def test_n6_k2_unique(self):
         res = run(1, 1, 2, 6, mode=DiameterMode.AT_MOST)
         assert len(res.graphs) == 1
+        assert is_isomorphic(res.graphs[0], kautz(2))
 
     def test_undirected_5_cycle(self):
         res = run(2, 0, 2, 5)
@@ -185,16 +190,52 @@ class TestBruteForceAgreement:
 
 
 class TestBallPrune:
-    @pytest.mark.parametrize(
-        "r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (3, 0), (0, 3), (2, 2), (3, 1)]
-    )
+    """The search decides the diameter with its own bitset balls; the BFS
+    `diameter()` is the independent reference for that filter."""
+
+    PAIRS = [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (3, 0), (0, 3), (2, 2), (3, 1)]
+
+    @pytest.mark.parametrize("r,z", PAIRS)
     def test_no_leaf_fails_the_diameter_filter_in_at_most_mode(self, r, z):
-        # once every vertex is settled the ball prune has checked that every
-        # k-ball holds all n vertices, which is diameter <= k
         for n in range(1, 8):
             for k in range(5):
-                res = run(r, z, k, n, mode=DiameterMode.AT_MOST)
-                assert res.pruned.get("reject_diameter", 0) == 0, (r, z, k, n)
+                for g in cached_run(r, z, k, n, DiameterMode.AT_MOST).graphs:
+                    d = g.diameter()
+                    assert d is not None and d <= k, (r, z, k, n)
+
+    @pytest.mark.parametrize("r,z", PAIRS)
+    def test_exact_mode_keeps_the_classes_of_diameter_k(self, r, z):
+        # and at-most mode at k finds the exact classes at j = 0..k
+        for n in range(1, 8):
+            upto_k = set()
+            for k in range(5):
+                exact = cached_run(r, z, k, n, DiameterMode.EXACT)
+                assert all(g.diameter() == k for g in exact.graphs), (r, z, k, n)
+                upto_k |= set(exact.encodings)
+                at_most = cached_run(r, z, k, n, DiameterMode.AT_MOST).encodings
+                assert set(at_most) == upto_k, (r, z, k, n)
+
+
+class TestDiameterTwo:
+    """(r, z) = (2, 1) at diameter 2, where the Moore bound is 11."""
+
+    def test_no_mixed_moore_graph(self):
+        # Bosak (1979): a mixed Moore graph of diameter 2 with z = 1 needs
+        # r in {1, 3, 21}
+        assert run(2, 1, 2, 11, mode=DiameterMode.AT_MOST).graphs == []
+
+    def test_unique_almost_moore_graph(self):
+        # Buset, Lopez & Miret (2017): exactly one graph of order 10
+        (g,) = run(2, 1, 2, 10).graphs
+        h = nx.DiGraph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges, kind="edge")
+        h.add_edges_from(((v, u) for u, v in g.edges), kind="edge")
+        h.add_edges_from(g.arcs, kind="arc")
+        assert nx.diameter(h) == 2
+        iso = nx.algorithms.isomorphism
+        matcher = iso.DiGraphMatcher(h, h, edge_match=iso.categorical_edge_match("kind", None))
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == g.automorphism_count() == 5
 
 
 class TestRelabelingInvariance:
