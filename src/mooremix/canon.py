@@ -7,9 +7,10 @@ separate).  Non-singleton cells are resolved by branching on the vertices of
 the first such cell, one per class of twins (vertices that a transposition
 automorphism swaps).  The least relabeled (edges, arcs) over all leaves is
 the canonical graph, and the number of leaves attaining it is the
-automorphism group order; `canonicalize` returns both, with the graph's
-byte encoding, in one `CanonicalForm`.  Exponential in the worst case; for
-n up to ~24.
+automorphism group order; `canonicalize` returns both in one
+`CanonicalForm`.  The canonical graph is the isomorphism-class key: a
+frozen `MixedGraph` is hashable and compares by (n, edges, arcs).
+Exponential in the worst case; for n up to ~24.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ SIZE_CAP = 24
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The canonically labeled graph, its byte encoding and |Aut|.
+    """The canonically labeled graph and |Aut|.
 
-    Isomorphic mixed graphs have equal canonical graphs and equal
-    encodings, and only they do."""
+    Isomorphic mixed graphs have equal canonical graphs, and only they do."""
 
     graph: MixedGraph
-    encoding: bytes
     automorphisms: int
 
 
@@ -59,7 +58,7 @@ def _refine(g, colors):
         colors = new
 
 
-def _encode_under(g, label):
+def _relabeled(g, label):
     """Edge/arc tuples of the graph relabeled by `label` (old -> new)."""
     edges = tuple(
         sorted((label[u], label[v]) if label[u] < label[v] else (label[v], label[u]) for u, v in g.edges)
@@ -82,8 +81,6 @@ def canonicalize(g) -> CanonicalForm:
     n = g.n
     if n > SIZE_CAP:
         raise SizeLimitExceededError(f"n={n} exceeds canonical-labeling cap {SIZE_CAP}")
-    if n == 0:
-        return CanonicalForm(graph=g, encoding=b"0;;", automorphisms=1)
 
     # twin[v]: the least u such that swapping u and v is an automorphism
     nbrs = [(set(g.edge_neighbors[v]), g.out_neighbors[v], g.in_neighbors[v]) for v in range(n)]
@@ -99,7 +96,7 @@ def canonicalize(g) -> CanonicalForm:
         colors = _refine(g, colors)
         cell = _first_nonsingleton_cell(colors, n)
         if cell is None:
-            return _encode_under(g, colors), 1  # color index is the new label
+            return _relabeled(g, colors), 1  # color index is the new label
         done = {}
         for v in cell:
             # twins in one cell are swapped by an automorphism that fixes
@@ -116,5 +113,4 @@ def canonicalize(g) -> CanonicalForm:
     # one refinement round splits uniform colors by (edge, out, in) degree
     (edges, arcs), count = descend((0,) * n)
     # the least leaf key is g's sorted edges and arcs under that leaf's labeling
-    h = MixedGraph(n=n, edges=edges, arcs=arcs)
-    return CanonicalForm(graph=h, encoding=f"{n};{edges};{arcs}".encode(), automorphisms=count)
+    return CanonicalForm(graph=MixedGraph(n=n, edges=edges, arcs=arcs), automorphisms=count)

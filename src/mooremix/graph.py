@@ -257,4 +257,4 @@ def build(n, edges, arcs) -> MixedGraph:
 def is_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
     if g.n != h.n:
         return False
-    return g.canonical_form().encoding == h.canonical_form().encoding
+    return g.canonical_form().graph == h.canonical_form().graph

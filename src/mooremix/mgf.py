@@ -19,7 +19,8 @@ __all__ = ["dumps", "loads", "dump", "load"]
 def dumps(g: MixedGraph, comments: list[str] | None = None) -> str:
     lines = ["mgf 1"]
     for c in comments or []:
-        lines.append(f"# {c}")
+        # `loads` splits with str.splitlines, so each piece gets its own "# "
+        lines += [f"# {piece}" for piece in c.splitlines()]
     lines.append(f"n {g.n}")
     for u, v in sorted(g.edges):
         lines.append(f"e {u} {v}")

@@ -4,10 +4,10 @@ given order and diameter.
 Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge) whose bitset k-balls alone decide the diameter, and
-keep the canonically labeled graph of each new canonical encoding.  On
-reaching vertex 2 it goes on only from the first partial graph (skeleton
-plus the out-arcs of vertices 0 and 1) of each isomorphism class.  The
-skeleton generator treats the vertices that no edge touches yet as
+keep the set of canonically labeled completed graphs, one per isomorphism
+class.  On reaching vertex 2 it goes on only from the first partial graph
+(skeleton plus the out-arcs of vertices 0 and 1) of each isomorphism class.
+The skeleton generator treats the vertices that no edge touches yet as
 interchangeable and offers only the first few of them, so for r = 0 it
 yields the edgeless graph and for r = 1 only the matching {2i, 2i+1}.
 """
@@ -60,8 +60,7 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
-    encodings: list  # canonical encoding per isomorphism class, sorted
-    graphs: list  # canonically labeled graph per class (parallel to encodings)
+    graphs: list  # canonically labeled graph per class, sorted by (edges, arcs)
     nodes_explored: int = 0
     pruned: dict = field(default_factory=dict)
     wall_time: float = 0.0
@@ -110,8 +109,8 @@ def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
         return labeled
     seen = {}
     for g in labeled:
-        seen.setdefault(g.canonical_form().encoding, g)
-    return [seen[k] for k in sorted(seen)]
+        seen.setdefault(g.canonical_form().graph, g)
+    return list(seen.values())
 
 
 # -- stage 2/3: arc extension with pruning --------------------------------
@@ -126,10 +125,9 @@ def _graph(skeleton, out):
 def _arc_backtrack(skeleton, z, k, mode, found, counters):
     """Give each vertex of `skeleton` z out-arcs, vertex by vertex, in all
     feasible ways: at most z in-arcs per vertex (so exactly z at the end),
-    no digon, no arc along an edge.  Store each completed graph whose
-    diameter suits `mode` as found[encoding] = canonically labeled graph,
-    unless the encoding is already there; count nodes, prunes and diameter
-    rejections in `counters`.
+    no digon, no arc along an edge.  Add the canonically labeled graph of
+    each completed graph whose diameter suits `mode` to the set `found`;
+    count nodes, prunes and diameter rejections in `counters`.
 
     Vertex sets are int bitmasks: step[v] holds the vertices one step from
     v known so far (its edge neighbours, plus its out-arcs once v is
@@ -176,18 +174,17 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
             # skeleton and maps each completion of one prefix onto one of the
             # other; for z = 0 the one prefix is empty.  The ball and deficit
             # prunes drop only graphs that cannot qualify.
-            encoding = _graph(skeleton, out).canonical_form().encoding
-            if encoding in prefixes:
+            prefix = _graph(skeleton, out).canonical_form().graph
+            if prefix in prefixes:
                 return
-            prefixes.add(encoding)
+            prefixes.add(prefix)
         if v == n:
             # the last ball prune found every k-ball full: diameter <= k.
             # Exact mode also needs diameter > k - 1 (always so for k = 0)
             if mode is DiameterMode.EXACT and k and not ball_prune(n, k - 1):
                 counters["reject_diameter"] += 1
                 return
-            form = _graph(skeleton, out).canonical_form()
-            found.setdefault(form.encoding, form.graph)
+            found.add(_graph(skeleton, out).canonical_form().graph)
             return
         counters["nodes"] += 1
         # each missing in-arc of w must come from a vertex in v..n-1 that is
@@ -233,7 +230,7 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
         raise CapExceededError(f"n={spec.n} exceeds order cap {cap}")
     r, z, n, k = spec.dp.r, spec.dp.z, spec.n, spec.k
 
-    found, counters, reason = {}, Counter(), None
+    found, counters, reason = set(), Counter(), None
     if (r * n) % 2 == 1:
         reason = f"parity: r={r} odd requires even order, got n={n}"
     elif r >= n or z > n - 1 - r:
@@ -241,10 +238,8 @@ def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:
     else:
         for sk in regular_skeletons(n, r):
             _arc_backtrack(sk, z, k, spec.diameter_mode, found, counters)
-    encodings = sorted(found)
     return SearchResult(
-        encodings=encodings,
-        graphs=[found[enc] for enc in encodings],
+        graphs=sorted(found, key=lambda g: (g.edges, g.arcs)),
         nodes_explored=counters.pop("nodes", 0),
         pruned=dict(counters),
         wall_time=time.monotonic() - start,
@@ -261,4 +256,4 @@ def max_order(dp: DegreePair, k: int, n_hi: int | None = None) -> tuple[int, Sea
         res = enumerate_classes(SearchSpec(dp=dp, k=k, n=n, diameter_mode=DiameterMode.AT_MOST))
         if res.graphs:
             return n, res
-    return 0, SearchResult(encodings=[], graphs=[], infeasible_reason="no order admits a graph")
+    return 0, SearchResult(graphs=[], infeasible_reason="no order admits a graph")

@@ -205,13 +205,13 @@ def brute_force_class_counts(r: int, z: int, n: int, k_max: int, fixed_matching:
         diam = g.diameter()
         if diam is None or diam > k_max:
             continue
-        by_diam.setdefault(diam, set()).add(g.canonical_form().encoding)
+        by_diam.setdefault(diam, set()).add(g.canonical_form().graph)
     counts = {}
     for k in range(k_max + 1):
         counts[(k, "exact")] = len(by_diam.get(k, ()))
         at_most = set()
-        for d, encs in by_diam.items():
+        for d, classes in by_diam.items():
             if d <= k:
-                at_most |= encs
+                at_most |= classes
         counts[(k, "at-most")] = len(at_most)
     return counts

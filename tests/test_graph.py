@@ -214,7 +214,7 @@ class TestCanonicalForm:
         perm = list(range(g.n))
         rnd.shuffle(perm)
         h = g.relabel(perm)
-        assert g.canonical_form().encoding == h.canonical_form().encoding
+        assert g.canonical_form().graph == h.canonical_form().graph
         assert is_isomorphic(g, h)
 
     @given(mixed_graphs(max_n=6))
@@ -223,7 +223,7 @@ class TestCanonicalForm:
         form = g.canonical_form()
         h = form.graph
         assert h.canonical_form().graph == h
-        assert h.canonical_form().encoding == form.encoding
+        assert h.canonical_form() == form
         assert h.automorphism_count() == g.automorphism_count()
         assert any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
 
@@ -236,7 +236,7 @@ class TestCanonicalForm:
     def test_different_degree_multisets_differ(self):
         g = build(3, [(0, 1)], [])
         h = build(3, [(1, 2), (0, 1)], [])
-        assert g.canonical_form().encoding != h.canonical_form().encoding
+        assert g.canonical_form().graph != h.canonical_form().graph
 
     def test_automorphism_counts_small(self):
         assert cycle(5, directed=False).automorphism_count() == 10  # dihedral
@@ -283,6 +283,11 @@ class TestMgf:
     def test_roundtrip(self):
         g = cayley_dihedral(5)
         assert mgf.loads(mgf.dumps(g)) == g
+
+    @given(mixed_graphs(max_n=5), st.lists(st.text(), max_size=3))
+    def test_roundtrip_with_any_comments(self, g, comments):
+        # a line break inside a comment must not end the comment line
+        assert mgf.loads(mgf.dumps(g, comments=comments)) == g
 
     def test_comments_ignored(self):
         g = mgf.loads("mgf 1\n# hello\nn 2\ne 0 1\n")

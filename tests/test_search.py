@@ -1,9 +1,11 @@
 import functools
 import itertools
+import math
 import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
@@ -22,7 +24,7 @@ from mooremix.search import (
     regular_skeletons,
 )
 
-from oracles import brute_force_class_counts, kautz, partitions
+from oracles import brute_force_class_counts, brute_force_labeled_graphs, kautz, partitions
 
 
 def run(r, z, k, n, mode=DiameterMode.EXACT):
@@ -130,20 +132,26 @@ class TestEnumerate:
             SearchSpec(dp=DegreePair(1, 1), k=3, n=10, jobs=2)
 
     def test_import_leaves_out_multiprocessing(self):
+        # nor, even after a search, numpy, networkx and sympy, which only tests use
         src = str(Path(mooremix.__file__).parents[1])
-        code = "import sys, mooremix; print('multiprocessing' in sys.modules)"
+        code = (
+            "import sys, mooremix\n"
+            "mooremix.enumerate_classes(mooremix.SearchSpec(mooremix.DegreePair(1, 1), 2, 6))\n"
+            "mods = ('multiprocessing', 'numpy', 'networkx', 'sympy')\n"
+            "print(sorted(m for m in mods if m in sys.modules))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("r,z,k,n", [(1, 1, 3, 10), (2, 1, 2, 8), (1, 2, 2, 6)])
     def test_graphs_are_canonical(self, r, z, k, n):
         res = run(r, z, k, n)
-        assert res.graphs and len(res.graphs) == len(res.encodings)
-        for g, enc in zip(res.graphs, res.encodings):
+        assert res.graphs and len(set(res.graphs)) == len(res.graphs)
+        assert res.graphs == sorted(res.graphs, key=lambda g: (g.edges, g.arcs))
+        for g in res.graphs:
             assert g.canonical_form().graph == g
-            assert g.canonical_form().encoding == enc
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -179,6 +187,27 @@ class TestBruteForceAgreement:
         fixed = brute_force_class_counts(2, 1, n, 4, fixed_matching=True)
         assert full == fixed
 
+    @pytest.mark.parametrize(
+        "k,n,mode,labeled",
+        [
+            (2, 6, DiameterMode.EXACT, 8),
+            (3, 8, DiameterMode.EXACT, 1104),
+            (4, 8, DiameterMode.AT_MOST, 2448),
+        ],
+    )
+    def test_orbit_counting_identity(self, k, n, mode, labeled):
+        # Aut(S) of the matching S = {2i, 2i+1} acts on the labeled (1,1)
+        # graphs with edge set S; its orbits are the classes, and the orbit
+        # of G has |Aut(S)| / |Aut(G)| members, with |Aut(S)| = (n/2)! 2^(n/2)
+        diameters = [g.diameter() for g in brute_force_labeled_graphs(1, 1, n, fixed_matching=True)]
+        if mode is DiameterMode.EXACT:
+            count = diameters.count(k)
+        else:
+            count = sum(1 for d in diameters if d is not None and d <= k)
+        aut_s = math.factorial(n // 2) * 2 ** (n // 2)
+        orbits = run(1, 1, k, n, mode=mode).graphs
+        assert sum(Fraction(aut_s, g.automorphism_count()) for g in orbits) == count == labeled
+
     @pytest.mark.parametrize("r,z", [(1, 1), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_counts_match_oracle(self, r, z, n):
@@ -211,8 +240,8 @@ class TestBallPrune:
             for k in range(5):
                 exact = cached_run(r, z, k, n, DiameterMode.EXACT)
                 assert all(g.diameter() == k for g in exact.graphs), (r, z, k, n)
-                upto_k |= set(exact.encodings)
-                at_most = cached_run(r, z, k, n, DiameterMode.AT_MOST).encodings
+                upto_k |= set(exact.graphs)
+                at_most = cached_run(r, z, k, n, DiameterMode.AT_MOST).graphs
                 assert set(at_most) == upto_k, (r, z, k, n)
 
 
@@ -254,16 +283,16 @@ class TestRelabelingInvariance:
         ],
     )
     def test_same_classes_on_relabeled_skeletons(self, r, z, k, n, mode):
-        expected = run(r, z, k, n, mode=mode).encodings
+        expected = set(run(r, z, k, n, mode=mode).graphs)
         assert expected
         rng = random.Random(f"{r},{z},{k},{n}")
         for _ in range(3):
-            found = {}
+            found = set()
             for sk in regular_skeletons(n, r):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 _arc_backtrack(sk.relabel(perm), z, k, mode, found, Counter())
-            assert sorted(found) == expected
+            assert found == expected
 
 
 class TestMaxOrder:
