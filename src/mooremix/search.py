@@ -5,11 +5,13 @@ Strategy: generate the non-isomorphic r-regular undirected skeletons, then
 assign out-arcs vertex by vertex with one backtracker (no digons, no arc
 parallel to an edge) whose bitset k-balls alone decide the diameter, and
 keep the set of canonically labeled completed graphs, one per isomorphism
-class.  On reaching vertex 2 it goes on only from the first partial graph
-(skeleton plus the out-arcs of vertices 0 and 1) of each isomorphism class.
-The skeleton generator treats the vertices that no edge touches yet as
-interchangeable and offers only the first few of them, so for r = 0 it
-yields the edgeless graph and for r = 1 only the matching {2i, 2i+1}.
+class.  On reaching vertex 2, and each vertex v where no skeleton edge joins
+{0..v-1} to {v..n-1} (every even v on a matching, every v with no edges),
+it goes on only from the first partial graph (skeleton plus the out-arcs
+of vertices 0..v-1) of each isomorphism class.  The skeleton generator
+treats the vertices that no edge touches yet as interchangeable and offers
+only the first few of them, so for r = 0 it yields the edgeless graph and
+for r = 1 only the matching {2i, 2i+1}.
 """
 
 from __future__ import annotations
@@ -103,10 +105,7 @@ def regular_skeletons(n: int, r: int) -> list[MixedGraph]:
                 deg[w] -= 1
 
     extend(0, [0] * n, [])
-    # a single labeled graph (always so for r <= 1) needs no canonical
-    # labeling, which would cost (n/2)! leaves on a perfect matching
-    if len(labeled) <= 1:
-        return labeled
+    extend = None  # free the closure now: it refers to itself through its cell
     seen = {}
     for g in labeled:
         seen.setdefault(g.canonical_form().graph, g)
@@ -145,7 +144,9 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
     out = []
     indeg = [0] * n
     prefixes = set()
-    prefix_end = min(2, n)
+    # depths where no edge joins settled and open vertices (z = 0: one completion)
+    joined = {v for a, b in skeleton.edges for v in range(a + 1, b + 1)}
+    dedup = {v for v in range(1, n) if v == 2 or v not in joined} if z else set()
 
     def ball_prune(settled, radius):
         for u in range(settled):
@@ -166,14 +167,16 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
         return False
 
     def rec(v):
-        if v == prefix_end:
-            # extend only the first prefix (the out-arcs of vertices 0 and 1)
+        if v in dedup:
+            # extend only the first prefix (the out-arcs of vertices 0..v-1)
             # of each isomorphism class of prefix graphs (the skeleton plus
-            # those arcs).  For z >= 1 only vertices 0 and 1 have out-arcs
-            # there, so an isomorphism of prefix graphs fixes {0, 1} and the
-            # skeleton and maps each completion of one prefix onto one of the
-            # other; for z = 0 the one prefix is empty.  The ball and deficit
-            # prunes drop only graphs that cannot qualify.
+            # those arcs).  For z >= 1 exactly the vertices 0..v-1 have
+            # out-arcs, so an isomorphism of prefix graphs maps {0..v-1} onto
+            # itself and the skeleton onto itself, and maps each completion of
+            # one prefix onto one of the other.  The ball and deficit prunes
+            # drop only graphs that cannot qualify.  This holds at any depth;
+            # labeling pays where it merges many prefixes: at vertex 2, and
+            # where the settled vertices are a union of skeleton components.
             prefix = _graph(skeleton, out).canonical_form().graph
             if prefix in prefixes:
                 return
@@ -217,6 +220,7 @@ def _arc_backtrack(skeleton, z, k, mode, found, counters):
         step[v] = edges
 
     rec(0)
+    rec = None  # free the closure now: it refers to itself through its cell
 
 
 def enumerate_classes(spec: SearchSpec, cap: int | None = None) -> SearchResult:

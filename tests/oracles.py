@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from mooremix.canon import _first_nonsingleton_cell, _refine, _relabeled
 from mooremix.graph import MixedGraph
 
 
@@ -53,6 +54,41 @@ def automorphisms_brute(g: MixedGraph, perms=None) -> int:
         ):
             count += 1
     return count
+
+
+def canonicalize_all_leaves(g: MixedGraph) -> tuple[MixedGraph, int]:
+    """(canonical graph, |Aut|) from the labeling tree of `mooremix.canon`
+    with every leaf visited: no automorphism pruning beyond twin
+    transpositions, so the least leaf key and the number of leaves reaching
+    it are counted directly."""
+    n = g.n
+    # twin[v]: the least u such that swapping u and v is an automorphism
+    nbrs = [(set(g.edge_neighbors[v]), g.out_neighbors[v], g.in_neighbors[v]) for v in range(n)]
+    twin = list(range(n))
+    for u, v in itertools.combinations(range(n), 2):
+        (eu, ou, iu), (ev, ov, iv) = nbrs[u], nbrs[v]
+        if twin[v] == v and ou == ov and iu == iv and eu - {v} == ev - {u}:
+            twin[v] = u
+
+    def descend(colors):
+        colors = _refine(g, colors)
+        cell = _first_nonsingleton_cell(colors, n)
+        if cell is None:
+            return _relabeled(g, colors), 1
+        done = {}
+        for v in cell:
+            # twins in one cell are swapped by an automorphism that fixes
+            # this node, so their subtrees hold the same leaf keys
+            if twin[v] not in done:
+                sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
+                rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+                done[twin[v]] = descend(tuple(rank[s] for s in sigs))
+        subs = [done[twin[v]] for v in cell]
+        key = min(key for key, _ in subs)
+        return key, sum(count for k, count in subs if k == key)
+
+    (edges, arcs), count = descend((0,) * n)
+    return MixedGraph(n=n, edges=edges, arcs=arcs), count
 
 
 def matching_permutations(n: int):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,13 @@ from mooremix.errors import (
 from mooremix.graph import MixedGraph, build, is_isomorphic
 from mooremix import mgf
 
-from oracles import adjacency_matrix, automorphisms_brute, count_walks_brute, matching_permutations
+from oracles import (
+    adjacency_matrix,
+    automorphisms_brute,
+    canonicalize_all_leaves,
+    count_walks_brute,
+    matching_permutations,
+)
 
 
 @st.composite
@@ -245,7 +253,7 @@ class TestCanonicalForm:
     def test_automorphism_count_matches_brute_force(self):
         g = build(4, [(0, 1)], [(1, 2), (2, 3), (3, 0)])
         assert g.automorphism_count() == automorphisms_brute(g)
-        # graphs with twins, which canonical labeling branches on once per cell
+        # graphs with twins, whose transpositions seed the pruning automorphisms
         twinned = [
             build(6, [], []),
             build(5, list(itertools.combinations(range(5), 2)), []),
@@ -255,6 +263,29 @@ class TestCanonicalForm:
         ]
         for h in twinned:
             assert h.automorphism_count() == automorphisms_brute(h), h
+
+    @given(mixed_graphs())
+    def test_pruned_labeling_agrees_with_every_leaf(self, g):
+        form = g.canonical_form()
+        assert (form.graph, form.automorphisms) == canonicalize_all_leaves(g)
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_perfect_matching_automorphisms(self, n):
+        g = build(n, [(2 * i, 2 * i + 1) for i in range(n // 2)], [])
+        start = time.perf_counter()
+        count = g.automorphism_count()
+        # the labeling tree has (n/2)! 2^(n/2) leaves of the least key;
+        # automorphism pruning visits O(n^2) of them
+        assert time.perf_counter() - start < 1.0
+        assert count == math.factorial(n // 2) * 2 ** (n // 2)
+
+    def test_symmetric_automorphism_counts(self):
+        triangles = [(3 * t + i, 3 * t + (i + 1) % 3) for t in range(4) for i in range(3)]
+        assert build(12, [], triangles).automorphism_count() == math.factorial(4) * 3**4 == 1944
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        spokes = [(i, 5 + i) for i in range(5)]
+        assert build(10, outer + inner + spokes, []).automorphism_count() == 120  # Petersen
 
     def test_cayley_graph_automorphisms(self):
         # edge-preserving maps must respect the matching, so the brute scan

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -13,8 +14,9 @@ import pytest
 
 import mooremix
 from mooremix.bounds import DegreePair
+from mooremix.canon import canonicalize
 from mooremix.errors import CapExceededError
-from mooremix.graph import is_isomorphic
+from mooremix.graph import build, is_isomorphic
 from mooremix.search import (
     DiameterMode,
     SearchSpec,
@@ -157,14 +159,35 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             run(1, 1, 3, 17)
 
-    @pytest.mark.parametrize("r,z,k,n,budget", [(1, 1, 3, 12, 50_000), (2, 1, 2, 11, 20_000)])
+    @pytest.mark.parametrize("r,z,k,n,budget", [(1, 1, 3, 12, 1_000), (2, 1, 2, 11, 10_000)])
     def test_empty_search_node_budget(self, r, z, k, n, budget):
-        # with every settled vertex's k-ball closed these searches take about
-        # 20,000 and 5,000 nodes (357,620 and 87,743 with vertex 0's ball
-        # alone); the budget guards that gain without pinning the count
+        # with every settled vertex's k-ball closed and prefixes deduplicated
+        # at every skeleton-component boundary these searches take 106 and
+        # 4,635 nodes (19,662 and 4,990 with the dedup at vertex 2 alone);
+        # the budget guards that gain without pinning the count
         res = run(r, z, k, n, mode=DiameterMode.AT_MOST)
         assert res.graphs == []
         assert res.nodes_explored < budget
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run(1, 1, 3, 10),
+            lambda: canonicalize(build(8, [(2 * i, 2 * i + 1) for i in range(4)], [])),
+            lambda: regular_skeletons(8, 2),
+        ],
+        ids=["search", "canonicalize", "skeletons"],
+    )
+    def test_leaves_no_reference_cycle(self, call):
+        # the recursive closures are freed by reference counting, so a long
+        # run does not hold them until a full garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_theorem1_invariant_on_emitted(self):
         for n in (8, 10):
@@ -246,16 +269,18 @@ class TestBallPrune:
 
 
 class TestDiameterTwo:
-    """(r, z) = (2, 1) at diameter 2, where the Moore bound is 11."""
+    """Diameter 2, where the Moore bound is 11 for (r, z) = (2, 1) and 12
+    for (1, 2)."""
 
     def test_no_mixed_moore_graph(self):
         # Bosak (1979): a mixed Moore graph of diameter 2 with z = 1 needs
         # r in {1, 3, 21}
         assert run(2, 1, 2, 11, mode=DiameterMode.AT_MOST).graphs == []
 
-    def test_unique_almost_moore_graph(self):
-        # Buset, Lopez & Miret (2017): exactly one graph of order 10
-        (g,) = run(2, 1, 2, 10).graphs
+    @staticmethod
+    def assert_diameter_and_automorphisms(g, aut):
+        """networkx, on g as a digraph with each edge a digon, finds
+        diameter 2 and `aut` kind-preserving automorphisms, as g does."""
         h = nx.DiGraph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges, kind="edge")
@@ -264,12 +289,25 @@ class TestDiameterTwo:
         assert nx.diameter(h) == 2
         iso = nx.algorithms.isomorphism
         matcher = iso.DiGraphMatcher(h, h, edge_match=iso.categorical_edge_match("kind", None))
-        assert sum(1 for _ in matcher.isomorphisms_iter()) == g.automorphism_count() == 5
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == g.automorphism_count() == aut
+
+    def test_unique_almost_moore_graph(self):
+        # Buset, Lopez & Miret (2017): exactly one graph of order 10
+        (g,) = run(2, 1, 2, 10).graphs
+        self.assert_diameter_and_automorphisms(g, 5)
+
+    def test_unique_mixed_moore_graph_1_2(self):
+        # Nguyen, Miller & Gimbert (2007): the (1,2) mixed Moore graph of
+        # diameter 2 and order 12 is unique, the Kautz digraph K(3, 2)
+        (g,) = run(1, 2, 2, 12).graphs
+        assert is_isomorphic(g, kautz(3))
+        self.assert_diameter_and_automorphisms(g, 24)
 
 
 class TestRelabelingInvariance:
     """The prefix rule keeps the first prefix of each class in the
-    backtracker's order, which depends on the skeleton's labels; relabeling
+    backtracker's order, and dedups where the skeleton's labels put a
+    component boundary (at every depth for the edgeless skeleton); relabeling
     the skeletons must not change the classes found."""
 
     @pytest.mark.parametrize(
@@ -280,13 +318,17 @@ class TestRelabelingInvariance:
             (2, 1, 2, 10, DiameterMode.EXACT),
             (1, 2, 2, 6, DiameterMode.EXACT),
             (1, 1, 3, 8, DiameterMode.AT_MOST),
+            (0, 2, 2, 6, DiameterMode.AT_MOST),
+            (1, 1, 4, 10, DiameterMode.AT_MOST),
         ],
     )
     def test_same_classes_on_relabeled_skeletons(self, r, z, k, n, mode):
         expected = set(run(r, z, k, n, mode=mode).graphs)
         assert expected
         rng = random.Random(f"{r},{z},{k},{n}")
-        for _ in range(3):
+        # a random labeling of the (1,1,4,10) matching leaves almost no
+        # component boundary, so that search takes 10-35 s: relabel it once
+        for _ in range(1 if (r, z, k, n) == (1, 1, 4, 10) else 3):
             found = set()
             for sk in regular_skeletons(n, r):
                 perm = list(range(n))
