@@ -12,7 +12,7 @@ from .bounds import (
     moore_bound_matrix,
     moore_table,
 )
-from .graph import MixedGraph, RepeatMultiset, build, is_isomorphic
+from .graph import MixedGraph, RepeatMultiset, is_isomorphic
 from .search import DiameterMode, SearchSpec, SearchResult, enumerate_classes, max_order
 from .spectral import CharPoly, char_poly, cospectral
 
@@ -28,7 +28,6 @@ __all__ = [
     "RepeatMultiset",
     "SearchResult",
     "SearchSpec",
-    "build",
     "char_poly",
     "cospectral",
     "enumerate_classes",

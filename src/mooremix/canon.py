@@ -4,8 +4,11 @@ individualization, pruned by automorphisms.
 The refinement colors vertices by (edge degree, out-degree, in-degree) and
 iterates on neighborhood color multisets (edge / out-arc / in-arc kept
 separate).  Non-singleton cells are resolved by branching on the vertices of
-the first such cell.  The least relabeled (edges, arcs) over all leaves is
-the canonical graph, and the number of leaves attaining it is |Aut|;
+the first such cell, each in turn split off just below the rest of its cell.
+At a leaf every color is a new label, and the leaf key is the graph's sorted
+(edges, arcs) under it (`graph._relabeled`, which `MixedGraph.relabel` uses
+too).  The least leaf key is the canonical graph, and the number of leaves
+attaining it is |Aut|;
 `canonicalize` returns both in one `CanonicalForm`, whose graph is the
 isomorphism-class key (a frozen `MixedGraph` compares by (n, edges, arcs)).
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceededError
-from .graph import MixedGraph
+from .graph import MixedGraph, _relabeled
 
 __all__ = ["CanonicalForm", "canonicalize"]
 
@@ -60,15 +63,6 @@ def _refine(g, colors):
         if new == colors:
             return new
         colors = new
-
-
-def _relabeled(g, label):
-    """Edge/arc tuples of the graph relabeled by `label` (old -> new)."""
-    edges = tuple(
-        sorted((label[u], label[v]) if label[u] < label[v] else (label[v], label[u]) for u, v in g.edges)
-    )
-    arcs = tuple(sorted((label[u], label[v]) for u, v in g.arcs))
-    return edges, arcs
 
 
 def _first_nonsingleton_cell(colors, n):
@@ -125,11 +119,12 @@ def canonicalize(g) -> CanonicalForm:
                 orbit += {gen[u] for gen in fixing}.difference(orbit)
             sibling = next((u for u in orbit if u in done), None)
             if sibling is None:
-                # individualize v: give it a color just below the rest of its cell
-                sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
-                rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+                # individualize v: the colors are dense ranks, so v keeps its
+                # color c, the rest of its cell moves to c + 1 and higher
+                # colors move up one
+                c = colors[v]
                 path.append(v)
-                key, count = descend(tuple(rank[s] for s in sigs))
+                key, count = descend(tuple(x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)))
                 path.pop()
                 if key is not None:
                     done[v] = key, count

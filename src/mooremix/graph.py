@@ -2,7 +2,10 @@
 
 The strict representation forbids self-loops, duplicates, digons (a pair of
 opposite arcs must be stored as an edge) and arcs parallel to an edge.  All
-graph objects are immutable; derived data is cached per instance.
+graph objects are immutable; derived data is cached per instance.  Degrees
+are the lengths of the neighbour tuples, and a distance is None where no
+path exists.  `_relabeled` is the one relabeling routine: `relabel` and the
+leaf keys of `canon.canonicalize` both use it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bounds import DegreePair
 from .errors import (
     DigonConflictError,
     DuplicateError,
@@ -19,24 +23,29 @@ from .errors import (
     SelfLoopError,
 )
 
-__all__ = [
-    "MixedGraph",
-    "DegreeProfile",
-    "RepeatMultiset",
-    "build",
-    "is_isomorphic",
-]
-
-UNREACHABLE = None
+__all__ = ["MixedGraph", "RepeatMultiset", "is_isomorphic"]
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex (edge degree, out-degree, in-degree)."""
+def _neighbor_tuples(n, forward=(), backward=()):
+    """For each vertex u < n, the sorted v with (u, v) in `forward` or
+    (v, u) in `backward`."""
+    # reads the pairs in place: building reversed copies made the peak RSS
+    # grow with the number of graphs labeled (CPython 3.11)
+    nbrs = [[] for _ in range(n)]
+    for u, v in forward:
+        nbrs[u].append(v)
+    for v, u in backward:
+        nbrs[u].append(v)
+    return tuple(tuple(sorted(x)) for x in nbrs)
 
-    r: tuple[int, ...]
-    z_out: tuple[int, ...]
-    z_in: tuple[int, ...]
+
+def _relabeled(g, label):
+    """Sorted edge and arc tuples of g under v -> label[v]."""
+    edges = tuple(
+        sorted((label[u], label[v]) if label[u] < label[v] else (label[v], label[u]) for u, v in g.edges)
+    )
+    arcs = tuple(sorted((label[u], label[v]) for u, v in g.arcs))
+    return edges, arcs
 
 
 @dataclass(frozen=True)
@@ -94,67 +103,36 @@ class MixedGraph:
 
     @cached_property
     def edge_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        return _neighbor_tuples(self.n, self.edges, self.edges)
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            nbrs[u].append(v)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        return _neighbor_tuples(self.n, self.arcs)
 
     @cached_property
     def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
-
-    def successors(self, u: int) -> tuple[int, ...]:
-        """Vertices reachable from u in one step (edges + outgoing arcs)."""
-        return self.edge_neighbors[u] + self.out_neighbors[u]
-
-    # -- degrees ----------------------------------------------------------
-
-    def degrees(self) -> DegreeProfile:
-        return DegreeProfile(
-            r=tuple(len(x) for x in self.edge_neighbors),
-            z_out=tuple(len(x) for x in self.out_neighbors),
-            z_in=tuple(len(x) for x in self.in_neighbors),
-        )
+        return _neighbor_tuples(self.n, backward=self.arcs)
 
     def total_regularity(self):
         """The (r, z) pair if the graph is totally regular, else None."""
-        from .bounds import DegreePair
-
-        prof = self.degrees()
-        if self.n == 0:
+        nbrs = (self.edge_neighbors, self.out_neighbors, self.in_neighbors)
+        degrees = {tuple(map(len, x)) for x in zip(*nbrs)}
+        if len(degrees) != 1:
             return None
-        r0, zo0, zi0 = prof.r[0], prof.z_out[0], prof.z_in[0]
-        if zo0 != zi0:
-            return None
-        for u in range(1, self.n):
-            if prof.r[u] != r0 or prof.z_out[u] != zo0 or prof.z_in[u] != zo0:
-                return None
-        if r0 + zo0 < 1:
-            return None
-        return DegreePair(r0, zo0)
+        ((r, z, z_in),) = degrees
+        return DegreePair(r, z) if z == z_in and r + z >= 1 else None
 
     # -- distances --------------------------------------------------------
 
     def distances_from(self, u: int) -> list:
-        """BFS distances from u; UNREACHABLE (None) where no path exists."""
-        dist = [UNREACHABLE] * self.n
+        """BFS distances from u (edges and out-arcs); None where no path exists."""
+        dist = [None] * self.n
         dist[u] = 0
         q = deque([u])
         while q:
             x = q.popleft()
-            for y in self.successors(x):
-                if dist[y] is UNREACHABLE:
+            for y in self.edge_neighbors[x] + self.out_neighbors[x]:
+                if dist[y] is None:
                     dist[y] = dist[x] + 1
                     q.append(y)
         return dist
@@ -163,19 +141,9 @@ class MixedGraph:
         return [self.distances_from(u) for u in range(self.n)]
 
     def diameter(self):
-        """Max distance over ordered pairs; UNREACHABLE if disconnected."""
+        """Max distance over ordered pairs; None if not strongly connected."""
         dists = [d for row in self.distances() for d in row]
-        return UNREACHABLE if UNREACHABLE in dists else max(dists, default=0)
-
-    def layers(self, u: int) -> list[list[int]]:
-        """Reachable vertices partitioned by distance from u."""
-        dist = self.distances_from(u)
-        reach = [d for d in dist if d is not UNREACHABLE]
-        out = [[] for _ in range(max(reach) + 1)]
-        for v, d in enumerate(dist):
-            if d is not UNREACHABLE:
-                out[d].append(v)
-        return out
+        return None if None in dists else max(dists, default=0)
 
     # -- walk counting ----------------------------------------------------
 
@@ -229,10 +197,7 @@ class MixedGraph:
         of range(n)."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"relabeling is not a permutation of range({self.n}): {list(perm)}")
-        edges = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in self.edges)
-        )
-        arcs = tuple(sorted((perm[u], perm[v]) for u, v in self.arcs))
+        edges, arcs = _relabeled(self, perm)
         return MixedGraph(n=self.n, edges=edges, arcs=arcs)
 
     # -- isomorphism (implemented in canon.py) ----------------------------
@@ -248,10 +213,6 @@ class MixedGraph:
 
     def automorphism_count(self) -> int:
         return self._canon.automorphisms
-
-
-def build(n, edges, arcs) -> MixedGraph:
-    return MixedGraph.build(n, edges, arcs)
 
 
 def is_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from mooremix.canon import _first_nonsingleton_cell, _refine, _relabeled
-from mooremix.graph import MixedGraph
+from mooremix.canon import _first_nonsingleton_cell, _refine
+from mooremix.graph import MixedGraph, _relabeled
 
 
 def count_walks_brute(g: MixedGraph, u: int, k: int) -> dict[int, int]:

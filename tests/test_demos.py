@@ -7,7 +7,13 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 EXPECTED = {
+    "bounds_tour.py": ["k=3: M=11, best bound 10"],
     "extremal_enumeration.py": [": 3 isomorphism classes", "max order at diameter <= 3: 10"],
+    "spectra_and_witnesses.py": [
+        "pairwise cospectral: True",
+        "line digraph ~ Cayley graph: True",
+        "class 2 matches the witnesses: True",
+    ],
 }
 
 

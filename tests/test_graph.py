@@ -18,7 +18,7 @@ from mooremix.errors import (
     SelfLoopError,
     SizeLimitExceededError,
 )
-from mooremix.graph import MixedGraph, build, is_isomorphic
+from mooremix.graph import MixedGraph, is_isomorphic
 from mooremix import mgf
 
 from oracles import (
@@ -31,8 +31,8 @@ from oracles import (
 
 
 @st.composite
-def mixed_graphs(draw, max_n=8):
-    n = draw(st.integers(2, max_n))
+def mixed_graphs(draw, max_n=8, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [p for p in pairs if draw(st.booleans())]
     edge_set = set(edges)
@@ -45,33 +45,67 @@ def mixed_graphs(draw, max_n=8):
             arcs.append((u, v))
         elif pick == 2:
             arcs.append((v, u))
-    return build(n, edges, arcs)
+    return MixedGraph.build(n, edges, arcs)
+
+
+@st.composite
+def circulants(draw, max_n=9):
+    """A mixed circulant on Z_n (totally regular), relabeled at random, and
+    sometimes with one edge or arc removed."""
+    n = draw(st.integers(1, max_n))
+    edges, arcs = set(), set()
+    for s in range(1, n // 2 + 1):
+        pick = draw(st.integers(0, 2))
+        if pick == 1 or (pick == 2 and 2 * s == n):  # an arc of offset n/2 would be a digon
+            edges.update((min(i, (i + s) % n), max(i, (i + s) % n)) for i in range(n))
+        elif pick == 2:
+            sign = draw(st.sampled_from([1, -1]))
+            arcs.update((i, (i + sign * s) % n) for i in range(n))
+    g = MixedGraph.build(n, edges, arcs)
+    if draw(st.booleans()) and g.edges + g.arcs:
+        drop = draw(st.sampled_from(g.edges + g.arcs))
+        g = MixedGraph.build(n, set(g.edges) - {drop}, set(g.arcs) - {drop})
+    return g.relabel(draw(st.permutations(range(n))))
+
+
+def regularity_by_count(g):
+    """(r, z) counted from the edge and arc lists, or None."""
+    r, z_out, z_in = [0] * g.n, [0] * g.n, [0] * g.n
+    for u, v in g.edges:
+        r[u] += 1
+        r[v] += 1
+    for u, v in g.arcs:
+        z_out[u] += 1
+        z_in[v] += 1
+    if g.n == 0 or len(set(r)) > 1 or len(set(z_out + z_in)) > 1 or r[0] + z_out[0] == 0:
+        return None
+    return DegreePair(r[0], z_out[0])
 
 
 class TestBuild:
     def test_digon_rejected_strict(self):
         with pytest.raises(DigonConflictError):
-            build(2, [], [(0, 1), (1, 0)])
+            MixedGraph.build(2, [], [(0, 1), (1, 0)])
 
     def test_parallel_arc_edge_rejected(self):
         with pytest.raises(ParallelArcEdgeError):
-            build(3, [(0, 1)], [(0, 1)])
+            MixedGraph.build(3, [(0, 1)], [(0, 1)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
-            build(2, [], [(1, 1)])
+            MixedGraph.build(2, [], [(1, 1)])
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateError):
-            build(3, [(0, 1), (1, 0)], [])
+            MixedGraph.build(3, [(0, 1), (1, 0)], [])
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            build(2, [(0, 2)], [])
+            MixedGraph.build(2, [(0, 2)], [])
 
     def test_relabel_rejects_non_permutation(self):
         # a repeated label would merge vertices 0 and 1 into the loop (0, 0)
-        g = build(3, [(0, 1)], [(1, 2)])
+        g = MixedGraph.build(3, [(0, 1)], [(1, 2)])
         with pytest.raises(ValueError):
             g.relabel([0, 0, 1])
         with pytest.raises(ValueError):
@@ -92,14 +126,26 @@ class TestDegrees:
         assert cycle(4, directed=True).total_regularity() == DegreePair(0, 1)
 
     def test_path_not_regular(self):
-        g = build(3, [(0, 1), (1, 2)], [])
+        g = MixedGraph.build(3, [(0, 1), (1, 2)], [])
         assert g.total_regularity() is None
 
     @given(mixed_graphs())
     def test_handshake(self, g):
-        prof = g.degrees()
-        assert sum(prof.z_out) == sum(prof.z_in) == len(g.arcs)
-        assert sum(prof.r) == 2 * len(g.edges)
+        assert sum(map(len, g.out_neighbors)) == sum(map(len, g.in_neighbors)) == len(g.arcs)
+        assert sum(map(len, g.edge_neighbors)) == 2 * len(g.edges)
+
+    @given(st.one_of(mixed_graphs(min_n=0), circulants()))
+    def test_total_regularity_matches_count(self, g):
+        assert g.total_regularity() == regularity_by_count(g)
+
+    def test_total_regularity_edge_cases(self):
+        assert MixedGraph.build(0, [], []).total_regularity() is None
+        assert MixedGraph.build(3, [], []).total_regularity() is None
+        # vertex 0 has out-degree 2 and in-degree 0
+        assert MixedGraph.build(3, [], [(0, 1), (0, 2)]).total_regularity() is None
+        # every out-degree is 1, the in-degrees are 0, 2, 1, 1
+        assert MixedGraph.build(4, [], [(0, 1), (1, 2), (2, 3), (3, 1)]).total_regularity() is None
+        assert MixedGraph.build(2, [(0, 1)], []).total_regularity() == DegreePair(1, 0)
 
 
 class TestDistances:
@@ -112,7 +158,7 @@ class TestDistances:
         assert cycle(5, directed=True).diameter() == 4
 
     def test_disconnected_unreachable(self):
-        g = build(4, [(0, 1), (2, 3)], [])
+        g = MixedGraph.build(4, [(0, 1), (2, 3)], [])
         assert g.diameter() is None
 
     def test_asymmetric_distances_exist(self):
@@ -120,14 +166,22 @@ class TestDistances:
         dist = g.distances()
         assert any(dist[u][v] != dist[v][u] for u in range(g.n) for v in range(g.n))
 
-    def test_layers_golden(self):
+    def test_distance_counts_golden(self):
+        # the Moore tree of (1, 1) at depth 3 has layers 1, 2, 3, 5; each
+        # golden graph has one repeat per root, so 1, 2, 3, 4 vertices
         for g in golden_graphs():
             for u in range(g.n):
-                assert [len(x) for x in g.layers(u)] == [1, 2, 3, 4]
+                dist = g.distances_from(u)
+                assert [dist.count(d) for d in range(4)] == [1, 2, 3, 4]
 
-    def test_layers_directed_triangle(self):
-        g = cycle(3, directed=True)
-        assert [len(x) for x in g.layers(0)] == [1, 1, 1]
+    def test_distances_directed_triangle(self):
+        assert cycle(3, directed=True).distances_from(0) == [0, 1, 2]
+        assert cycle(3, directed=True).distances_from(2) == [1, 2, 0]
+
+    def test_distances_unreachable(self):
+        g = MixedGraph.build(3, [], [(0, 1)])
+        assert g.distances_from(0) == [0, 1, None]
+        assert g.distances_from(1) == [None, 0, None]
 
 
 class TestWalkCounts:
@@ -205,10 +259,10 @@ class TestConverse:
 
 class TestAdjacencyMatrix:
     def test_single_edge(self):
-        assert adjacency_matrix(build(2, [(0, 1)], [])) == [[0, 1], [1, 0]]
+        assert adjacency_matrix(MixedGraph.build(2, [(0, 1)], [])) == [[0, 1], [1, 0]]
 
     def test_single_arc(self):
-        assert adjacency_matrix(build(2, [], [(0, 1)])) == [[0, 1], [0, 0]]
+        assert adjacency_matrix(MixedGraph.build(2, [], [(0, 1)])) == [[0, 1], [0, 0]]
 
     def test_golden_row_sums(self):
         a = adjacency_matrix(golden_graphs()[0])
@@ -242,8 +296,8 @@ class TestCanonicalForm:
         assert not is_isomorphic(b, c)
 
     def test_different_degree_multisets_differ(self):
-        g = build(3, [(0, 1)], [])
-        h = build(3, [(1, 2), (0, 1)], [])
+        g = MixedGraph.build(3, [(0, 1)], [])
+        h = MixedGraph.build(3, [(1, 2), (0, 1)], [])
         assert g.canonical_form().graph != h.canonical_form().graph
 
     def test_automorphism_counts_small(self):
@@ -251,15 +305,15 @@ class TestCanonicalForm:
         assert cycle(5, directed=True).automorphism_count() == 5  # rotations only
 
     def test_automorphism_count_matches_brute_force(self):
-        g = build(4, [(0, 1)], [(1, 2), (2, 3), (3, 0)])
+        g = MixedGraph.build(4, [(0, 1)], [(1, 2), (2, 3), (3, 0)])
         assert g.automorphism_count() == automorphisms_brute(g)
         # graphs with twins, whose transpositions seed the pruning automorphisms
         twinned = [
-            build(6, [], []),
-            build(5, list(itertools.combinations(range(5), 2)), []),
-            build(5, [(u, v) for u in range(2) for v in range(2, 5)], []),
-            build(6, [(0, 1), (2, 3)], [(0, 4), (1, 4), (2, 5), (3, 5)]),
-            build(6, [(0, 1)], [(2, 0), (2, 1), (3, 0), (3, 1), (4, 5)]),
+            MixedGraph.build(6, [], []),
+            MixedGraph.build(5, list(itertools.combinations(range(5), 2)), []),
+            MixedGraph.build(5, [(u, v) for u in range(2) for v in range(2, 5)], []),
+            MixedGraph.build(6, [(0, 1), (2, 3)], [(0, 4), (1, 4), (2, 5), (3, 5)]),
+            MixedGraph.build(6, [(0, 1)], [(2, 0), (2, 1), (3, 0), (3, 1), (4, 5)]),
         ]
         for h in twinned:
             assert h.automorphism_count() == automorphisms_brute(h), h
@@ -271,7 +325,7 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_perfect_matching_automorphisms(self, n):
-        g = build(n, [(2 * i, 2 * i + 1) for i in range(n // 2)], [])
+        g = MixedGraph.build(n, [(2 * i, 2 * i + 1) for i in range(n // 2)], [])
         start = time.perf_counter()
         count = g.automorphism_count()
         # the labeling tree has (n/2)! 2^(n/2) leaves of the least key;
@@ -281,11 +335,11 @@ class TestCanonicalForm:
 
     def test_symmetric_automorphism_counts(self):
         triangles = [(3 * t + i, 3 * t + (i + 1) % 3) for t in range(4) for i in range(3)]
-        assert build(12, [], triangles).automorphism_count() == math.factorial(4) * 3**4 == 1944
+        assert MixedGraph.build(12, [], triangles).automorphism_count() == math.factorial(4) * 3**4 == 1944
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, 5 + i) for i in range(5)]
-        assert build(10, outer + inner + spokes, []).automorphism_count() == 120  # Petersen
+        assert MixedGraph.build(10, outer + inner + spokes, []).automorphism_count() == 120  # Petersen
 
     def test_cayley_graph_automorphisms(self):
         # edge-preserving maps must respect the matching, so the brute scan
@@ -295,7 +349,7 @@ class TestCanonicalForm:
         assert automorphisms_brute(g, perms=matching_permutations_for(g)) == 10
 
     def test_size_cap(self):
-        g = build(25, [(i, i + 1) for i in range(24)], [])
+        g = MixedGraph.build(25, [(i, i + 1) for i in range(24)], [])
         with pytest.raises(SizeLimitExceededError):
             g.canonical_form()
 

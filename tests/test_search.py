@@ -16,7 +16,7 @@ import mooremix
 from mooremix.bounds import DegreePair
 from mooremix.canon import canonicalize
 from mooremix.errors import CapExceededError
-from mooremix.graph import build, is_isomorphic
+from mooremix.graph import MixedGraph, is_isomorphic
 from mooremix.search import (
     DiameterMode,
     SearchSpec,
@@ -43,12 +43,22 @@ def undirected_networkx(g):
     return h
 
 
+def assert_components_contiguous(skeletons):
+    """Every connected component of every skeleton is an interval of labels,
+    which the arc search's prefix dedup at component boundaries relies on
+    to be fast."""
+    for g in skeletons:
+        for comp in nx.connected_components(undirected_networkx(g)):
+            assert max(comp) - min(comp) + 1 == len(comp), (g, sorted(comp))
+
+
 def assert_regular_and_distinct(skeletons, n, r):
-    """Every skeleton is r-regular on n vertices, and networkx finds no two
-    of them isomorphic."""
+    """Every skeleton is r-regular on n vertices, networkx finds no two of
+    them isomorphic, and their components are contiguous."""
     for g in skeletons:
         assert g.n == n and g.arcs == ()
         assert all(len(nbrs) == r for nbrs in g.edge_neighbors)
+    assert_components_contiguous(skeletons)
     hs = [undirected_networkx(g) for g in skeletons]
     for a, b in itertools.combinations(hs, 2):
         assert not nx.is_isomorphic(a, b), (n, r)
@@ -73,6 +83,7 @@ class TestSkeletons:
         assert len(regular_skeletons(9, 2)) == 4  # 9, 3+6, 4+5, 3+3+3
         for n in range(1, 11):
             assert len(regular_skeletons(n, 2)) == len(list(partitions(n, 3))), n
+            assert_components_contiguous(regular_skeletons(n, 2))
 
     def test_r3_cubic_counts(self):
         assert len(regular_skeletons(4, 3)) == 1  # K4
@@ -173,7 +184,7 @@ class TestEnumerate:
         "call",
         [
             lambda: run(1, 1, 3, 10),
-            lambda: canonicalize(build(8, [(2 * i, 2 * i + 1) for i in range(4)], [])),
+            lambda: canonicalize(MixedGraph.build(8, [(2 * i, 2 * i + 1) for i in range(4)], [])),
             lambda: regular_skeletons(8, 2),
         ],
         ids=["search", "canonicalize", "skeletons"],

@@ -8,7 +8,7 @@ from mooremix.constructions import (
     golden_graphs,
     line_digraph_of_cycle_digons,
 )
-from mooremix.graph import build
+from mooremix.graph import MixedGraph
 from mooremix.spectral import CharPoly, char_poly, cospectral
 
 from oracles import adjacency_matrix, poly_mul
@@ -29,7 +29,7 @@ class TestCharPoly:
             assert char_poly(g).coefficients == expected
 
     def test_single_arc_nilpotent(self):
-        assert char_poly(build(2, [], [(0, 1)])).coefficients == (0, 0, 1)
+        assert char_poly(MixedGraph.build(2, [], [(0, 1)])).coefficients == (0, 0, 1)
 
     def test_monic_and_traceless(self):
         for g in golden_graphs():
